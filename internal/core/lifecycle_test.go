@@ -76,14 +76,18 @@ func TestSpoofCannotHijackControl(t *testing.T) {
 	if err := conn.WaitDrained(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.WaitClosed(len(data), 10*time.Second); err != nil {
-		t.Fatal(err)
+	// Wait on the real connection by its key: the spoofer's datagrams
+	// may establish first, so the server's primary connection (what
+	// WaitClosed watches) can be the spoofed one.
+	real := srv.StreamOf(7, conn.LocalAddr().String())
+	for deadline := time.Now().Add(10 * time.Second); len(real) < len(data) && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		real = srv.StreamOf(7, conn.LocalAddr().String())
 	}
 	close(stop)
 	wg.Wait()
 
-	// The real connection (established first) delivered byte-exactly.
-	real := srv.StreamOf(7, conn.LocalAddr().String())
+	// The real connection delivered byte-exactly.
 	if !bytes.Equal(real, data) {
 		t.Fatal("spoofing corrupted the real connection's stream")
 	}

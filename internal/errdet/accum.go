@@ -8,30 +8,26 @@ import (
 	"chunks/internal/wsc"
 )
 
-// blockAccumulator folds chunk contributions into one TPDU's WSC-2
-// code block. It is shared by the transmitter (Encode) and the
-// receiver (Receiver); both must add exactly the same symbols for the
-// invariant to hold.
-type blockAccumulator struct {
-	layout Layout
-	acc    wsc.Accumulator
-}
+// The add* methods fold chunk contributions into one TPDU's WSC-2 code
+// block laid out by l. They are shared by the transmitter (Encode) and
+// the receiver (Receiver); both must add exactly the same symbols for
+// the invariant to hold.
 
 // addData accumulates the data symbols of elements [lo, hi) (absolute
 // T.SNs) taken from c's payload.
-func (b *blockAccumulator) addData(c *chunk.Chunk, lo, hi uint64) error {
+func (l Layout) addData(acc *wsc.Accumulator, c *chunk.Chunk, lo, hi uint64) error {
 	if hi <= lo {
 		return nil
 	}
 	spe := SymbolsPerElement(c.Size)
-	if hi*spe > b.layout.DataSymbols {
+	if hi*spe > l.DataSymbols {
 		return fmt.Errorf("%w: elements [%d,%d) of size %d", ErrLayout, lo, hi, c.Size) //lint:allow hotalloc cold error path: fmt boxes its operands
 	}
 	off := int(lo-c.T.SN) * int(c.Size)
 	if c.Size%wsc.SymbolSize == 0 {
 		// Elements pack exactly into symbols: one contiguous run.
 		n := int(hi-lo) * int(c.Size)
-		return b.acc.AddBytes(lo*spe, c.Payload[off:off+n])
+		return acc.AddBytes(lo*spe, c.Payload[off:off+n])
 	}
 	// Pad each element independently to its symbol slots.
 	var buf [8 * wsc.SymbolSize]byte //lint:allow hotalloc heap-moved only on the symbol-unaligned branch; steady-state elements are symbol-aligned
@@ -47,7 +43,7 @@ func (b *blockAccumulator) addData(c *chunk.Chunk, lo, hi uint64) error {
 		}
 		copy(pad, c.Payload[off:off+int(c.Size)])
 		off += int(c.Size)
-		if err := b.acc.AddBytes(sn*spe, pad); err != nil {
+		if err := acc.AddBytes(sn*spe, pad); err != nil {
 			return err
 		}
 	}
@@ -59,17 +55,17 @@ func (b *blockAccumulator) addData(c *chunk.Chunk, lo, hi uint64) error {
 // the accumulator is XOR-linear, adding bytes that were already
 // accumulated cancels them — this is the LastWins replacement
 // primitive: add the old bytes (cancel), then add the new.
-func (b *blockAccumulator) addRaw(sn uint64, size uint16, data []byte) error {
+func (l Layout) addRaw(acc *wsc.Accumulator, sn uint64, size uint16, data []byte) error {
 	if len(data) == 0 {
 		return nil
 	}
 	n := uint64(len(data)) / uint64(size)
 	spe := SymbolsPerElement(size)
-	if (sn+n)*spe > b.layout.DataSymbols {
+	if (sn+n)*spe > l.DataSymbols {
 		return fmt.Errorf("%w: elements [%d,%d) of size %d", ErrLayout, sn, sn+n, size) //lint:allow hotalloc cold error path: fmt boxes its operands
 	}
 	if size%wsc.SymbolSize == 0 {
-		return b.acc.AddBytes(sn*spe, data)
+		return acc.AddBytes(sn*spe, data)
 	}
 	var buf [8 * wsc.SymbolSize]byte //lint:allow hotalloc conflict-replacement path only: AddBytes sharding keeps the scratch alive
 	var pad []byte
@@ -85,7 +81,7 @@ func (b *blockAccumulator) addRaw(sn uint64, size uint16, data []byte) error {
 		}
 		copy(pad, data[off:off+int(size)])
 		off += int(size)
-		if err := b.acc.AddBytes((sn+i)*spe, pad); err != nil {
+		if err := acc.AddBytes((sn+i)*spe, pad); err != nil {
 			return err
 		}
 	}
@@ -96,40 +92,33 @@ func (b *blockAccumulator) addRaw(sn uint64, size uint16, data []byte) error {
 // c — its LAST element — if that element carries X.ST or T.ST
 // (Figure 6). Callers must ensure the trigger element is fresh (not a
 // duplicate) before calling, since re-adding would cancel the pair.
-func (b *blockAccumulator) addTrigger(c *chunk.Chunk) error {
+// The pair's two positions are adjacent, so it goes in as one run: one
+// field exponentiation instead of two.
+func (l Layout) addTrigger(acc *wsc.Accumulator, c *chunk.Chunk) error {
 	if !c.X.ST && !c.T.ST {
 		return nil
-	}
-	lastTSN := c.T.SN + uint64(c.Len) - 1
-	pos := b.layout.XPairPos(lastTSN)
-	if err := b.acc.AddSymbol(pos, c.X.ID); err != nil {
-		return err
 	}
 	var xst uint32
 	if c.X.ST {
 		xst = 1
 	}
-	return b.acc.AddSymbol(pos+1, xst)
+	lastTSN := c.T.SN + uint64(c.Len) - 1
+	pair := [2]uint32{c.X.ID, xst}
+	return acc.AddRun(l.XPairPos(lastTSN), pair[:])
 }
 
 // addIdentity encodes the per-TPDU constants: T.ID, C.ID and the C.ST
-// value. Called exactly once per TPDU (order does not matter, so both
-// sides defer it until the values are settled).
-func (b *blockAccumulator) addIdentity(tid, cid uint32, cst bool) error {
-	if err := b.acc.AddSymbol(b.layout.TIDPos(), tid); err != nil {
-		return err
-	}
-	if err := b.acc.AddSymbol(b.layout.CIDPos(), cid); err != nil {
-		return err
-	}
+// value, at the adjacent positions TIDPos, CIDPos and CSTPos (one run).
+// Called exactly once per TPDU (order does not matter, so both sides
+// defer it until the values are settled).
+func (l Layout) addIdentity(acc *wsc.Accumulator, tid, cid uint32, cst bool) error {
 	var v uint32
 	if cst {
 		v = 1
 	}
-	return b.acc.AddSymbol(b.layout.CSTPos(), v)
+	ident := [3]uint32{tid, cid, v}
+	return acc.AddRun(l.TIDPos(), ident[:])
 }
-
-func (b *blockAccumulator) parity() wsc.Parity { return b.acc.Parity() }
 
 // Encode computes the transmitter-side invariant parity of one TPDU
 // from its chunks in any fragmentation state: the result is identical
@@ -149,8 +138,9 @@ func Encode(layout Layout, chs []chunk.Chunk) (wsc.Parity, error) {
 	if len(chs) == 0 {
 		return wsc.Parity{}, fmt.Errorf("errdet: empty TPDU")
 	}
-	b := blockAccumulator{layout: layout}
+	var acc wsc.Accumulator
 	var seen *vr.IntervalSet
+	var fresh []vr.Interval
 	sorted, prevHi := true, uint64(0)
 	tid, cid := chs[0].T.ID, chs[0].C.ID
 	cst := false
@@ -172,25 +162,25 @@ func Encode(layout Layout, chs []chunk.Chunk) (wsc.Parity, error) {
 				sorted = false
 				seen = new(vr.IntervalSet) //lint:allow hotalloc out-of-order slow path; sorted steady-state TPDUs never build the interval set
 				for j := 0; j < i; j++ {
-					seen.Add(chs[j].T.SN, chs[j].T.SN+uint64(chs[j].Len))
+					fresh = seen.AddTo(fresh[:0], chs[j].T.SN, chs[j].T.SN+uint64(chs[j].Len))
 				}
 			}
-			if fresh := seen.Add(lo, hi); len(fresh) != 1 || fresh[0] != (vr.Interval{Lo: lo, Hi: hi}) {
+			if fresh = seen.AddTo(fresh[:0], lo, hi); len(fresh) != 1 || fresh[0] != (vr.Interval{Lo: lo, Hi: hi}) {
 				return wsc.Parity{}, fmt.Errorf("errdet: chunk %d overlaps another chunk", i) //lint:allow hotalloc cold error path: fmt boxes its operands
 			}
 		}
-		if err := b.addData(c, lo, hi); err != nil {
+		if err := layout.addData(&acc, c, lo, hi); err != nil {
 			return wsc.Parity{}, err
 		}
-		if err := b.addTrigger(c); err != nil {
+		if err := layout.addTrigger(&acc, c); err != nil {
 			return wsc.Parity{}, err
 		}
 		if c.C.ST {
 			cst = true
 		}
 	}
-	if err := b.addIdentity(tid, cid, cst); err != nil {
+	if err := layout.addIdentity(&acc, tid, cid, cst); err != nil {
 		return wsc.Parity{}, err
 	}
-	return b.parity(), nil
+	return acc.Parity(), nil
 }

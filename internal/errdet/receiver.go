@@ -3,7 +3,7 @@ package errdet
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"chunks/internal/chunk"
 	"chunks/internal/telemetry"
@@ -21,40 +21,73 @@ type Finding struct {
 
 func (f Finding) String() string { return fmt.Sprintf("%v (TPDU %d): %v", f.Class, f.TID, f.Err) }
 
-// tpduState is the receive-side verification state of one TPDU.
-type tpduState struct {
-	blk       blockAccumulator
-	t         vr.PDU
-	size      uint16
-	cid       uint32
-	haveMeta  bool
-	delta     uint64 // C.SN - T.SN, constant across the TPDU's chunks
-	cst       bool   // C.ST observed on the TPDU boundary element
-	want      wsc.Parity
-	haveWant  bool
-	finalized bool
-	verdict   Verdict
+// TPDU is the receive-side verification state of one TPDU; its zero
+// value is a TPDU of which nothing has arrived. A caller with its own
+// per-TPDU records (the transport) embeds one in each and hands it to
+// IngestData and IngestED; the tid-keyed Receiver methods keep theirs.
+type TPDU struct {
+	acc     wsc.Accumulator
+	pdu     vr.PDU
+	delta   uint64 // C.SN - T.SN, constant across the TPDU's chunks
+	want    wsc.Parity
+	verdict Verdict // VerdictPending until the TPDU finalizes
+	cid     uint32
+	size    uint16
+	// haveMeta: size, cid and delta are set. cst: C.ST was observed
+	// on the TPDU boundary element. haveWant: the ED chunk is in.
+	haveMeta, cst, haveWant bool
 }
 
-// reset returns the state to the fresh-TPDU condition, keeping the
-// virtual-reassembly interval capacity — the recycling half of the
-// freelist that makes long-running receivers allocation-free per TPDU.
-func (t *tpduState) reset(layout Layout) {
-	t.t.Reset()
-	t.blk = blockAccumulator{layout: layout}
-	t.size, t.cid, t.haveMeta = 0, 0, false
-	t.delta, t.cst = 0, false
-	t.want, t.haveWant = wsc.Parity{}, false
-	t.finalized, t.verdict = false, VerdictPending
+// Reset returns t to the fresh-TPDU state, keeping its interval
+// storage, so a recycled record allocates nothing.
+func (t *TPDU) Reset() {
+	t.pdu.Reset()
+	*t = TPDU{pdu: t.pdu}
 }
 
-// xState is the connection-scope verification state of one external
-// PDU (external PDUs may span TPDUs, so they live beside, not inside,
-// tpduState).
-type xState struct {
+// Verdict returns the TPDU's verdict.
+func (t *TPDU) Verdict() Verdict { return t.verdict }
+
+// Status reports what a retransmission request needs: the T.SN gaps
+// of the unfinished TPDU, whether its end (T.ST) has been seen, and one
+// past the highest element received.
+func (t *TPDU) Status() (missing []vr.Interval, haveEnd bool, high uint64) {
+	_, haveEnd = t.pdu.End()
+	return t.pdu.Missing(), haveEnd, t.pdu.High()
+}
+
+// Fragments returns the interval count of the TPDU's virtual
+// reassembly — the per-TPDU state footprint the §3.3 discussion bounds.
+func (t *TPDU) Fragments() int { return t.pdu.Fragments() }
+
+// Extent returns the connection-stream (C.SN) element range [lo, hi)
+// the TPDU occupies — what a stream manager needs to trim delivered
+// bytes when the TPDU retires. ok is false until the T.ST element has
+// arrived.
+func (t *TPDU) Extent() (lo, hi uint64, ok bool) {
+	end, haveEnd := t.pdu.End()
+	if !t.haveMeta || !haveEnd {
+		return 0, 0, false
+	}
+	return t.delta, t.delta + end, true
+}
+
+// X is the verification state of one external PDU, which may span
+// TPDUs; its zero value is an external PDU of which nothing has arrived.
+type X struct {
 	pdu       vr.PDU
 	delta     uint64 // C.SN - X.SN, constant across the external PDU's chunks
 	haveDelta bool
+}
+
+// Complete reports whether the external PDU has fully arrived — the
+// ALF-frame-ready signal an application consumes.
+func (x *X) Complete() bool { return x.pdu.Complete() }
+
+// Reset returns x to the fresh state, keeping its interval storage.
+func (x *X) Reset() {
+	x.pdu.Reset()
+	*x = X{pdu: x.pdu}
 }
 
 // A Receiver performs incremental end-to-end verification for one
@@ -65,14 +98,12 @@ type xState struct {
 // parities are compared.
 type Receiver struct {
 	layout   Layout
-	tpdus    map[uint32]*tpduState
-	xs       map[uint32]*xState
 	findings []Finding
-	// free and xfree hold retired state records for reuse (see Retire
-	// and RetireX): a steady verify → ack → retire cycle allocates no
-	// per-TPDU or per-frame state.
-	free  []*tpduState
-	xfree []*xState
+	// tpdus and xs back the tid-keyed methods (Ingest, Verdict, ...);
+	// they are nil in a Receiver readied by Init, whose owner passes its
+	// own state to IngestData and IngestED.
+	tpdus map[uint32]*TPDU
+	xs    map[uint32]*X
 
 	// policy is the conflicting-overlap policy applied at T-level
 	// virtual reassembly; prior supplies the previously accepted bytes
@@ -138,30 +169,29 @@ func (r *Receiver) SetTelemetry(tel telemetry.Sink) {
 
 // NewReceiver returns a Receiver using the given invariant layout.
 func NewReceiver(layout Layout) (*Receiver, error) {
-	if err := layout.Validate(); err != nil {
+	r := &Receiver{tpdus: make(map[uint32]*TPDU), xs: make(map[uint32]*X)}
+	if err := r.Init(layout); err != nil {
 		return nil, err
 	}
-	return &Receiver{
-		layout: layout,
-		tpdus:  make(map[uint32]*tpduState),
-		xs:     make(map[uint32]*xState),
-	}, nil
+	return r, nil
 }
 
-//lint:hot
-func (r *Receiver) tpdu(tid uint32) *tpduState {
-	t := r.tpdus[tid]
-	if t == nil {
-		if n := len(r.free); n > 0 {
-			t = r.free[n-1]
-			r.free[n-1] = nil
-			r.free = r.free[:n-1]
-		} else {
-			t = &tpduState{blk: blockAccumulator{layout: r.layout}} //lint:allow hotalloc pool miss: the steady state recycles retired TPDU records
-		}
-		r.tpdus[tid] = t
+// Init readies r, a zero Receiver embedded by its owner, for the given
+// invariant layout.
+func (r *Receiver) Init(layout Layout) error {
+	if err := layout.Validate(); err != nil {
+		return err
 	}
-	return t
+	r.layout = layout
+	return nil
+}
+
+// entry returns m[id], creating the state if needed.
+func entry[S any](m map[uint32]*S, id uint32) *S {
+	if m[id] == nil {
+		m[id] = new(S)
+	}
+	return m[id]
 }
 
 func (r *Receiver) flag(class Verdict, tid uint32, format string, args ...any) {
@@ -195,21 +225,14 @@ func (r *Receiver) IngestFresh(c *chunk.Chunk) ([]vr.Interval, error) {
 	return fresh, err
 }
 
-// IngestPlaced is IngestFresh for the caller that owns the placed
-// payload (the transport). Beyond fresh it returns replace: under
-// vr.LastWins, the conflicting duplicate intervals whose placed bytes
-// must be overwritten with c's bytes (the receiver has already swapped
-// their parity contribution); nil under every other policy. When a
-// rejecting policy refuses the chunk the error wraps
-// vr.ErrConflictingData so the caller can escalate — tearing the
-// connection down under vr.RejectConnection.
+// IngestPlaced is IngestFresh plus IngestData's replace result, over
+// the receiver's own tid-keyed state.
 func (r *Receiver) IngestPlaced(c *chunk.Chunk) (fresh, replace []vr.Interval, err error) {
 	switch c.Type {
 	case chunk.TypeData:
-		fresh, replace, err = r.ingestData(c)
-		return fresh, replace, err
+		return r.IngestData(entry(r.tpdus, c.T.ID), entry(r.xs, c.X.ID), c)
 	case chunk.TypeED:
-		r.ingestED(c)
+		r.IngestED(entry(r.tpdus, c.T.ID), c)
 		return nil, nil, nil
 	case chunk.TypeSignal, chunk.TypeAck, chunk.TypeNack:
 		return nil, nil, nil
@@ -218,9 +241,18 @@ func (r *Receiver) IngestPlaced(c *chunk.Chunk) (fresh, replace []vr.Interval, e
 	}
 }
 
-func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interval, errOut error) {
-	t := r.tpdu(c.T.ID) //lint:allow hotalloc inlined pool miss: the steady state recycles retired TPDU records
-	if t.finalized {
+// IngestData verifies data chunk c into t and x, the states of TPDU
+// c.T.ID and external PDU c.X.ID. It returns the chunk's fresh element
+// intervals (T.SN space, valid until the next ingest into t) and, under
+// vr.LastWins, replace: the conflicting duplicate intervals whose
+// placed bytes must be overwritten with c's (their parity is already
+// swapped). When a rejecting policy refuses the chunk the error wraps
+// vr.ErrConflictingData, so the caller can tear the connection down
+// under vr.RejectConnection.
+//
+//lint:hot
+func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []vr.Interval, err error) {
+	if t.verdict != VerdictPending {
 		if t.verdict != VerdictEDMismatch {
 			return nil, nil, nil // late duplicate of a verified TPDU
 		}
@@ -228,7 +260,7 @@ func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interva
 		// when data is retransmitted: rebuild its verification state
 		// from scratch (the retransmission reuses the original
 		// identifiers, Section 3.3, so the rebuild is transparent).
-		t.reset(r.layout)
+		t.Reset()
 	}
 
 	// Per-TPDU consistency: SIZE, C.ID and (C.SN - T.SN) must agree
@@ -254,19 +286,10 @@ func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interva
 	}
 
 	// External-PDU consistency: (C.SN - X.SN) constant per X.ID.
-	x := r.xs[c.X.ID]
 	xdelta := c.C.SN - c.X.SN
-	if x == nil {
-		if n := len(r.xfree); n > 0 {
-			x = r.xfree[n-1]
-			r.xfree[n-1] = nil
-			r.xfree = r.xfree[:n-1]
-			x.delta, x.haveDelta = xdelta, true
-		} else {
-			x = &xState{delta: xdelta, haveDelta: true} //lint:allow hotalloc pool miss: the steady state recycles retired external-PDU records
-		}
-		r.xs[c.X.ID] = x
-	} else if x.haveDelta && x.delta != xdelta {
+	if !x.haveDelta {
+		x.delta, x.haveDelta = xdelta, true
+	} else if x.delta != xdelta {
 		r.flag(VerdictConsistency, c.T.ID, "C.SN-X.SN %d conflicts with %d for X.ID %d", xdelta, x.delta, c.X.ID) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
 		return nil, nil, nil
 	}
@@ -281,7 +304,7 @@ func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interva
 		r.viewDelta = t.delta
 		view = r.shifted
 	}
-	fresh, conflicts, err := t.t.AddChecked(c.T.SN, n, c.T.ST, r.policy, c.Payload, int(c.Size), view)
+	fresh, conflicts, err := t.pdu.AddChecked(c.T.SN, n, c.T.ST, r.policy, c.Payload, int(c.Size), view)
 	if len(conflicts) > 0 {
 		r.overlapConflicts.Add(int64(len(conflicts)))
 		for _, iv := range conflicts {
@@ -292,11 +315,11 @@ func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interva
 		if errors.Is(err, vr.ErrConflictingData) {
 			r.overlapRejects.Inc()
 			if r.policy == vr.RejectPDU {
-				// Abandon the TPDU entirely: its state is discarded so
-				// honest retransmissions rebuild it from scratch. (The
-				// placed stream bytes are the caller's; retransmitted
-				// fresh intervals will overwrite them.)
-				delete(r.tpdus, c.T.ID)
+				// Abandon the TPDU entirely so honest retransmissions
+				// rebuild it from scratch. (The placed stream bytes are
+				// the caller's; retransmitted fresh intervals will
+				// overwrite them.)
+				t.Reset()
 			}
 			r.flag(VerdictReassembly, c.T.ID, "T-level reassembly: %v (%v)", err, r.policy) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
 			return nil, nil, err
@@ -308,21 +331,21 @@ func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interva
 		// Swap the conflicting elements' parity contribution: re-add
 		// the old bytes (XOR-cancel), then add the replacement. The
 		// caller overwrites the placed bytes for exactly these
-		// intervals (replaceOut), keeping stream and parity in step.
+		// intervals (replace), keeping stream and parity in step.
 		for _, iv := range conflicts {
 			old := view(iv)
 			if old == nil {
 				continue
 			}
-			if err := t.blk.addRaw(iv.Lo, c.Size, old); err != nil {
+			if err := r.layout.addRaw(&t.acc, iv.Lo, c.Size, old); err != nil {
 				r.flag(VerdictReassembly, c.T.ID, "overlap replace: %v", err)
 				return nil, nil, nil
 			}
-			if err := t.blk.addData(c, iv.Lo, iv.Hi); err != nil {
+			if err := r.layout.addData(&t.acc, c, iv.Lo, iv.Hi); err != nil {
 				r.flag(VerdictReassembly, c.T.ID, "overlap replace: %v", err)
 				return nil, nil, nil
 			}
-			replaceOut = append(replaceOut, iv)
+			replace = append(replace, iv)
 		}
 	}
 
@@ -335,7 +358,7 @@ func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interva
 	// same piece twice "may cause the checksum to be incorrect even if
 	// no data corruption has occurred" (Section 3.3).
 	for _, iv := range fresh {
-		if err := t.blk.addData(c, iv.Lo, iv.Hi); err != nil {
+		if err := r.layout.addData(&t.acc, c, iv.Lo, iv.Hi); err != nil {
 			r.flag(VerdictReassembly, c.T.ID, "data outside layout: %v", err)
 			return nil, nil, nil
 		}
@@ -348,7 +371,7 @@ func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interva
 	// was fresh, so retransmissions do not cancel the pair.
 	lastSN := c.T.SN + n - 1
 	if freshContains(fresh, lastSN) {
-		if err := t.blk.addTrigger(c); err != nil {
+		if err := r.layout.addTrigger(&t.acc, c); err != nil {
 			r.flag(VerdictReassembly, c.T.ID, "trigger outside layout: %v", err)
 			return nil, nil, nil
 		}
@@ -358,21 +381,23 @@ func (r *Receiver) ingestData(c *chunk.Chunk) (freshOut, replaceOut []vr.Interva
 	}
 
 	r.maybeFinalize(c.T.ID, t)
-	return fresh, replaceOut, nil
+	return fresh, replace, nil
 }
 
-func (r *Receiver) ingestED(c *chunk.Chunk) {
+// IngestED records ED chunk c for t, the state of TPDU c.T.ID.
+//
+//lint:hot
+func (r *Receiver) IngestED(t *TPDU, c *chunk.Chunk) {
 	par, err := ParseED(c)
 	if err != nil {
 		r.flag(VerdictReassembly, c.T.ID, "malformed ED chunk: %v", err)
 		return
 	}
-	t := r.tpdu(c.T.ID) //lint:allow hotalloc inlined pool miss: the steady state recycles retired TPDU records
-	if t.finalized {
+	if t.verdict != VerdictPending {
 		if t.verdict != VerdictEDMismatch {
 			return
 		}
-		t.reset(r.layout)
+		t.Reset()
 	}
 	if t.haveMeta && c.C.ID != t.cid {
 		r.flag(VerdictConsistency, c.T.ID, "ED chunk C.ID %d conflicts with %d", c.C.ID, t.cid) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
@@ -388,22 +413,31 @@ func (r *Receiver) ingestED(c *chunk.Chunk) {
 	r.maybeFinalize(c.T.ID, t)
 }
 
-func (r *Receiver) maybeFinalize(tid uint32, t *tpduState) {
-	if t.finalized || !t.haveWant || !t.t.Complete() {
+func (r *Receiver) maybeFinalize(tid uint32, t *TPDU) {
+	if t.verdict != VerdictPending || !t.haveWant || !t.pdu.Complete() {
 		return
 	}
-	t.finalized = true
-	if err := t.blk.addIdentity(tid, t.cid, t.cst); err != nil {
+	if err := r.layout.addIdentity(&t.acc, tid, t.cid, t.cst); err != nil {
 		t.verdict = VerdictReassembly
 		r.flag(VerdictReassembly, tid, "identity outside layout: %v", err)
 		return
 	}
-	if wsc.Verify(t.blk.parity(), t.want) {
+	if wsc.Verify(t.acc.Parity(), t.want) {
 		t.verdict = VerdictOK
 		return
 	}
 	t.verdict = VerdictEDMismatch
-	r.flag(VerdictEDMismatch, tid, "WSC-2 parity mismatch: got %+v want %+v", t.blk.parity(), t.want) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+	r.flag(VerdictEDMismatch, tid, "WSC-2 parity mismatch: got %+v want %+v", t.acc.Parity(), t.want) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[uint32]V) []uint32 {
+	keys := make([]uint32, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func freshContains(ivs []vr.Interval, sn uint64) bool {
@@ -422,70 +456,14 @@ func freshContains(ivs []vr.Interval, sn uint64) bool {
 // chunk (which seeds the consistency baselines) or rebuilt from a
 // corrupted duplicate: the receiver requests a full retransmission
 // and starts the TPDU over.
-func (r *Receiver) ResetTPDU(tid uint32) {
-	r.Retire(tid)
-}
-
-// Retire releases the verification state of a TPDU the caller is done
-// with (typically verified and acknowledged), recycling the record for
-// the next TPDU. Together with the map's insert/delete balance this
-// bounds receiver memory over a long connection and keeps the steady
-// receive path allocation-free. A later duplicate of a retired TPDU
-// restarts tracking from scratch; callers that care (the transport)
-// must drop such chunks themselves.
-//
-//lint:hot
-func (r *Receiver) Retire(tid uint32) {
-	t := r.tpdus[tid]
-	if t == nil {
-		return
-	}
-	delete(r.tpdus, tid)
-	t.reset(r.layout)
-	r.free = append(r.free, t)
-}
-
-// RetireX releases the virtual-reassembly state of one external PDU
-// (after its ALF frame has been delivered) — the X-level half of the
-// memory bound Retire provides at T level.
-//
-//lint:hot
-func (r *Receiver) RetireX(xid uint32) {
-	x := r.xs[xid]
-	if x == nil {
-		return
-	}
-	delete(r.xs, xid)
-	x.pdu.Reset()
-	x.delta, x.haveDelta = 0, false
-	r.xfree = append(r.xfree, x)
-}
-
-// TPDUExtent returns the connection-stream (C.SN) element range
-// [lo, hi) occupied by a TPDU whose end is known — what a stream
-// manager needs to trim delivered bytes when the TPDU retires. ok is
-// false when the TPDU is unknown or its T.ST element has not arrived.
-//
-//lint:hot
-func (r *Receiver) TPDUExtent(tid uint32) (lo, hi uint64, ok bool) {
-	t := r.tpdus[tid]
-	if t == nil || !t.haveMeta {
-		return 0, 0, false
-	}
-	end, haveEnd := t.t.End()
-	if !haveEnd {
-		return 0, 0, false
-	}
-	return t.delta, t.delta + end, true
-}
+func (r *Receiver) ResetTPDU(tid uint32) { delete(r.tpdus, tid) }
 
 // Verdict returns the current verdict for a TPDU.
 func (r *Receiver) Verdict(tid uint32) Verdict {
-	t := r.tpdus[tid]
-	if t == nil || !t.finalized {
-		return VerdictPending
+	if t := r.tpdus[tid]; t != nil {
+		return t.verdict
 	}
-	return t.verdict
+	return VerdictPending
 }
 
 // Findings returns every anomaly detected so far, in detection order.
@@ -493,54 +471,18 @@ func (r *Receiver) Findings() []Finding {
 	return append([]Finding(nil), r.findings...)
 }
 
-// TPDUFindings returns the findings attributed to one TPDU.
-func (r *Receiver) TPDUFindings(tid uint32) []Finding {
-	var out []Finding
-	for _, f := range r.findings {
-		if f.TID == tid {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// XComplete reports whether external PDU xid has fully arrived — the
-// ALF-frame-ready signal an application consumes.
+// XComplete reports whether external PDU xid has fully arrived.
 func (r *Receiver) XComplete(xid uint32) bool {
 	x := r.xs[xid]
-	return x != nil && x.pdu.Complete()
-}
-
-// TPDUStatus reports the virtual-reassembly state of a TPDU for
-// retransmission decisions: whether its end (T.ST) has been seen, and
-// one past the highest element received.
-func (r *Receiver) TPDUStatus(tid uint32) (haveEnd bool, high uint64) {
-	t := r.tpdus[tid]
-	if t == nil {
-		return false, 0
-	}
-	_, haveEnd = t.t.End()
-	return haveEnd, t.t.High()
-}
-
-// Fragments returns the current interval count of TPDU tid's virtual
-// reassembly — the per-TPDU state footprint the §3.3 discussion
-// bounds. 0 for unknown TPDUs.
-func (r *Receiver) Fragments(tid uint32) int {
-	t := r.tpdus[tid]
-	if t == nil {
-		return 0
-	}
-	return t.t.Fragments()
+	return x != nil && x.Complete()
 }
 
 // Missing returns the T.SN gaps of an unfinished TPDU (NACK input).
 func (r *Receiver) Missing(tid uint32) []vr.Interval {
-	t := r.tpdus[tid]
-	if t == nil {
-		return nil
+	if t := r.tpdus[tid]; t != nil {
+		return t.pdu.Missing()
 	}
-	return t.t.Missing()
+	return nil
 }
 
 // Finalize ends the receive phase (end of input or retransmission
@@ -552,19 +494,16 @@ func (r *Receiver) Finalize() map[uint32]Verdict {
 	// Walk TPDUs in sorted order: the findings appended below are part
 	// of the receiver's observable output, and map order would make
 	// their sequence differ run to run (determinism invariant).
-	tids := make([]uint32, 0, len(r.tpdus))
-	for tid := range r.tpdus {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
+	for _, tid := range sortedKeys(r.tpdus) {
 		t := r.tpdus[tid]
-		if !t.finalized {
-			t.finalized = true
+		if !t.haveMeta && !t.haveWant {
+			continue // nothing usable arrived (a malformed ED chunk, a rejected PDU)
+		}
+		if t.verdict == VerdictPending {
 			t.verdict = VerdictReassembly
 			switch {
-			case !t.t.Complete():
-				r.flag(VerdictReassembly, tid, "input ended with TPDU incomplete; missing %v", t.t.Missing())
+			case !t.pdu.Complete():
+				r.flag(VerdictReassembly, tid, "input ended with TPDU incomplete; missing %v", t.pdu.Missing())
 			default:
 				r.flag(VerdictReassembly, tid, "input ended without ED chunk")
 			}
@@ -574,12 +513,7 @@ func (r *Receiver) Finalize() map[uint32]Verdict {
 	// External PDUs with gaps (or a known end not reached) are
 	// reassembly failures too: the ALF frame never becomes ready.
 	// Sorted for the same reason as the TPDU walk above.
-	xids := make([]uint32, 0, len(r.xs))
-	for xid := range r.xs {
-		xids = append(xids, xid)
-	}
-	sort.Slice(xids, func(i, j int) bool { return xids[i] < xids[j] })
-	for _, xid := range xids {
+	for _, xid := range sortedKeys(r.xs) {
 		x := r.xs[xid]
 		if end, ok := x.pdu.End(); ok && !x.pdu.Complete() {
 			r.findings = append(r.findings, Finding{

@@ -28,20 +28,28 @@ type Correction struct {
 	XOR uint32
 }
 
-// Repair attempts single-symbol correction of a TPDU that finalized
-// with VerdictEDMismatch. On success it fixes the receiver's own
-// parity state, flips the verdict to VerdictOK, records a finding,
+// Repair attempts single-symbol correction of TPDU tid; see
+// RepairTPDU.
+func (r *Receiver) Repair(tid uint32) (Correction, bool) {
+	if t := r.tpdus[tid]; t != nil {
+		return r.RepairTPDU(t, tid)
+	}
+	return Correction{}, false
+}
+
+// RepairTPDU attempts single-symbol correction of t, the state of TPDU
+// tid, after it finalized with VerdictEDMismatch. On success it fixes
+// t's parity state, flips the verdict to VerdictOK, records a finding,
 // and returns the Correction the caller must apply to its placed
 // data. It returns ok=false when the TPDU is not in the mismatch
 // state or the syndrome is not consistent with a single symbol error
 // inside the data region (multi-symbol corruption, or corruption of
 // an identity/trigger position, still requires retransmission).
-func (r *Receiver) Repair(tid uint32) (Correction, bool) {
-	t := r.tpdus[tid]
-	if t == nil || !t.finalized || t.verdict != VerdictEDMismatch {
+func (r *Receiver) RepairTPDU(t *TPDU, tid uint32) (Correction, bool) {
+	if t.verdict != VerdictEDMismatch {
 		return Correction{}, false
 	}
-	syndrome := t.blk.parity().Xor(t.want)
+	syndrome := t.acc.Parity().Xor(t.want)
 	pos, val, ok := wsc.LocateSingleError(syndrome)
 	if !ok || pos >= r.layout.DataSymbols {
 		return Correction{}, false
@@ -49,16 +57,16 @@ func (r *Receiver) Repair(tid uint32) (Correction, bool) {
 	spe := SymbolsPerElement(t.size)
 	tsn := pos / spe
 	// The symbol must belong to a received element.
-	if end, known := t.t.End(); !known || tsn >= end {
+	if end, known := t.pdu.End(); !known || tsn >= end {
 		return Correction{}, false
 	}
 	// Fix our own accumulator and verdict.
-	if err := t.blk.acc.AddSymbol(pos, val); err != nil {
+	if err := t.acc.AddSymbol(pos, val); err != nil {
 		return Correction{}, false
 	}
-	if !wsc.Verify(t.blk.parity(), t.want) {
+	if !wsc.Verify(t.acc.Parity(), t.want) {
 		// Should be impossible; restore the mismatch state.
-		_ = t.blk.acc.AddSymbol(pos, val)
+		_ = t.acc.AddSymbol(pos, val)
 		return Correction{}, false
 	}
 	t.verdict = VerdictOK

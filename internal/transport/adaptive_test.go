@@ -279,7 +279,7 @@ func TestReceiverReapsStaleTPDU(t *testing.T) {
 	if got := r.PendingTPDUs(); got != 0 {
 		t.Fatalf("pending TPDUs after reap %d, want 0", got)
 	}
-	if len(r.stale) != 0 || len(r.progress) != 0 || len(r.stalled) != 0 {
+	if len(r.tids) != 0 {
 		t.Fatal("reap left tracking state behind")
 	}
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -73,7 +74,7 @@ type ReceiverConfig struct {
 type Receiver struct {
 	cfg ReceiverConfig
 	out func(datagram []byte)
-	ed  *errdet.Receiver
+	ed  errdet.Receiver
 
 	cid      uint32
 	elemSize uint16
@@ -88,40 +89,86 @@ type Receiver struct {
 	stream     []byte
 	streamBase uint64
 
-	repaired  int
-	reaped    int
-	verified  int               // TPDUs acknowledged (survives retirement)
-	pending   int               // TPDUs tracked without a final verdict (NeedsPoll)
-	tids      map[uint32]bool   // every TPDU seen (for polling)
-	progress  map[uint32]uint64 // reassembly fingerprint at last Poll
-	stalled   map[uint32]int    // consecutive no-progress polls
-	stale     map[uint32]int    // no-progress polls since last progress (for reaping)
-	acked     map[uint32]bool
-	notified  map[uint32]bool     // OnTPDU fired
-	delivered map[uint32]bool     // frames delivered
-	frames    map[uint32]frameRec // X.ID -> placement info
+	repaired int
+	reaped   int
+	verified int // TPDUs acknowledged (survives retirement)
+	pending  int // TPDUs tracked without a final verdict (NeedsPoll)
+	round    int // Poll rounds elapsed (telemetry timeline)
 
-	// ackRing is the FIFO of acknowledged TPDUs awaiting retirement
-	// (RetireVerified > 0); ringHead indexes its oldest live entry.
-	ackRing  []uint32
-	ringHead int
+	// tids and frames are the keyed tables, made on the first data
+	// chunk: one record per TPDU (by T.ID) and per external PDU (by
+	// X.ID). Records come from slabs and recycle through the free lists
+	// tfree and xfree.
+	tids   map[uint32]*tRec
+	frames map[uint32]*xRec
+	tfree  *tRec
+	xfree  *xRec
 
-	round     int             // Poll rounds elapsed (telemetry timeline)
-	firstSeen map[uint32]int  // Poll round a TPDU's first chunk arrived in
-	verdicted map[uint32]bool // verdict telemetry closed out (once per TPDU)
+	// ackHead..ackTail: the queued acknowledged TPDUs awaiting
+	// retirement (RetireVerified > 0), linked through tRec.next.
+	ackHead, ackTail *tRec
+	queued           int
 
 	pack packet.Packer
-	tel  recvTel
+	tel  *recvTel
 
 	// Hot-path scratch, reused across calls so the steady receive path
 	// allocates nothing: dec is HandlePacket's envelope decode target,
-	// ctrl and ackBuf build the single-ACK control emission, pollTids
-	// is Poll's sorted-scan buffer.
+	// ackBuf the ACK payload, pollRecs Poll's sorted-scan buffer.
 	dec      packet.Packet
-	ctrl     []chunk.Chunk
-	ackBuf   []byte
-	pollTids []uint32
+	ackBuf   [4]byte
+	pollRecs []*tRec
 }
+
+// tRec is the receiver's record of one TPDU: its verification state
+// and the polling, acknowledgment and telemetry bookkeeping around it.
+type tRec struct {
+	ed       errdet.TPDU
+	next     *tRec  // free list or retirement FIFO
+	progress uint64 // reassembly fingerprint at the last Poll (hasProgress)
+	arrived  int    // Poll round the first chunk arrived in (pending)
+	tid      uint32
+	stalled  int32 // consecutive Polls without progress
+	stale    int32 // Polls since the last arrival (reaping)
+	// pending: counted in Receiver.pending, its verdict not yet seen.
+	// verdicted: verdict telemetry closed out. Poll tracks a TPDU in
+	// either state. notified: OnTPDU fired. acked: verified and
+	// acknowledged.
+	pending, verdicted, notified, acked, hasProgress bool
+}
+
+// xRec is the receiver's record of one external PDU (ALF frame): its
+// verification state and where the frame sits in the stream.
+type xRec struct {
+	ed        errdet.X
+	next      *xRec  // free list
+	startElem uint64 // C.SN of the frame's element 0 (C.SN - X.SN)
+	endElems  uint64 // frame length in elements, once X.ST seen
+	xid       uint32
+	haveEnd   bool
+	delivered bool
+}
+
+// maxSlab caps the records one slab allocation holds.
+const maxSlab = 64
+
+// grow returns a slab of new records for a free list — as many as tab
+// holds, at least one and at most maxSlab, so slabs double with the
+// table until they reach maxSlab — and creates tab on first use, so a
+// receiver that never sees data holds no table. Records recycle and
+// are never freed. Out of line, it keeps the record lookups small.
+//
+//go:noinline
+func grow[R any](tab *map[uint32]*R) []R {
+	if *tab == nil {
+		*tab = make(map[uint32]*R) //lint:allow hotalloc lazy table: made once, on the connection's first data chunk
+	}
+	return make([]R, min(max(len(*tab), 1), maxSlab)) //lint:allow hotalloc slab growth: slabs double with the table and records recycle through the free lists
+}
+
+// ctrlBuffers is the datagram pool every receiver's control packer
+// draws from and Recycle returns to.
+var ctrlBuffers packet.BufferPool
 
 // recvTel bundles the receiver's pre-resolved instruments. With a
 // disabled Sink every field is nil and every use is a no-op branch.
@@ -139,8 +186,15 @@ type recvTel struct {
 	ring      *telemetry.Ring
 }
 
-func newRecvTel(t telemetry.Sink) recvTel {
-	return recvTel{
+// noTel is the instrument set of the zero Sink, shared by every
+// receiver without telemetry.
+var noTel recvTel
+
+func newRecvTel(t telemetry.Sink) *recvTel {
+	if t == (telemetry.Sink{}) {
+		return &noTel
+	}
+	return &recvTel{
 		chunks:    t.Counter("chunks_received"),
 		placed:    t.Counter("bytes_placed"),
 		verified:  t.Counter("tpdus_verified"),
@@ -155,13 +209,6 @@ func newRecvTel(t telemetry.Sink) recvTel {
 	}
 }
 
-// frameRec locates an external PDU within the connection stream.
-type frameRec struct {
-	startElem uint64 // C.SN of the frame's element 0 (C.SN - X.SN)
-	endElems  uint64 // frame length in elements, once X.ST seen
-	haveEnd   bool
-}
-
 // NewReceiver returns a Receiver; control datagrams (ACK/NACK packets)
 // go to out.
 func NewReceiver(cfg ReceiverConfig, out func([]byte)) (*Receiver, error) {
@@ -171,32 +218,19 @@ func NewReceiver(cfg ReceiverConfig, out func([]byte)) (*Receiver, error) {
 	if cfg.MTU == 0 {
 		cfg.MTU = 1400
 	}
-	ed, err := errdet.NewReceiver(cfg.Layout)
-	if err != nil {
+	r := &Receiver{
+		cfg:  cfg,
+		out:  out,
+		pack: packet.Packer{MTU: cfg.MTU, Buffers: &ctrlBuffers},
+		tel:  newRecvTel(cfg.Tel),
+	}
+	if err := r.ed.Init(cfg.Layout); err != nil {
 		return nil, err
 	}
-	ed.SetTelemetry(cfg.Tel)
-	r := &Receiver{
-		cfg:       cfg,
-		out:       out,
-		ed:        ed,
-		tids:      make(map[uint32]bool),
-		progress:  make(map[uint32]uint64),
-		stalled:   make(map[uint32]int),
-		stale:     make(map[uint32]int),
-		acked:     make(map[uint32]bool),
-		notified:  make(map[uint32]bool),
-		delivered: make(map[uint32]bool),
-		frames:    make(map[uint32]frameRec),
-		firstSeen: make(map[uint32]int),
-		verdicted: make(map[uint32]bool),
-		pack:      packet.Packer{MTU: cfg.MTU, Buffers: new(packet.BufferPool)},
-		tel:       newRecvTel(cfg.Tel),
-		ackBuf:    make([]byte, 0, 4),
-	}
+	r.ed.SetTelemetry(cfg.Tel)
 	// The stream IS the prior-bytes view conflict detection needs:
 	// virtual reassembly keeps no payload, so the placer lends its own.
-	ed.SetOverlapPolicy(cfg.OverlapPolicy, r.priorBytes)
+	r.ed.SetOverlapPolicy(cfg.OverlapPolicy, r.priorBytes)
 	return r, nil
 }
 
@@ -275,7 +309,7 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 		}
 		return nil
 	case chunk.TypeData:
-		r.trackFrame(c)
+		t, x := r.tpdu(c.T.ID), r.frame(c)
 		r.tel.chunks.Inc()
 		r.tel.chunkLen.Observe(int64(c.Len))
 		r.tel.ring.Record(telemetry.EvReceived, c.C.ID, c.T.ID, c.T.SN, int64(c.Len))
@@ -285,7 +319,7 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 		// under vr.LastWins, where the verifier hands back the
 		// conflicting intervals to overwrite after swapping their
 		// parity contribution.
-		fresh, replace, err := r.ed.IngestPlaced(c)
+		fresh, replace, err := r.ed.IngestData(&t.ed, &x.ed, c)
 		if err != nil {
 			if errors.Is(err, vr.ErrConflictingData) {
 				// The rejection is already a finding (and counted);
@@ -294,7 +328,7 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 					r.rejected = true
 					return ErrConnectionRejected
 				}
-				r.seen(c.T.ID)
+				r.seen(t)
 				return nil
 			}
 			return err
@@ -308,17 +342,16 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 			r.place(c, iv.Lo, iv.Hi)
 			r.tel.ring.Record(telemetry.EvPlaced, c.C.ID, c.T.ID, iv.Lo, int64(iv.Hi-iv.Lo))
 		}
-		r.seen(c.T.ID)
-		r.tel.intervals.Observe(int64(r.ed.Fragments(c.T.ID)))
-		r.after(c.T.ID)
-		r.deliverFrames(c.X.ID)
+		r.seen(t)
+		r.tel.intervals.Observe(int64(t.ed.Fragments()))
+		r.after(t)
+		r.deliverFrame(x)
 		return nil
 	case chunk.TypeED:
-		if err := r.ed.Ingest(c); err != nil {
-			return err
-		}
-		r.seen(c.T.ID)
-		r.after(c.T.ID)
+		t := r.tpdu(c.T.ID)
+		r.ed.IngestED(&t.ed, c)
+		r.seen(t)
+		r.after(t)
 		return nil
 	case chunk.TypeAck, chunk.TypeNack:
 		return nil // peer's control towards its own sender role
@@ -362,31 +395,63 @@ func (r *Receiver) place(c *chunk.Chunk, lo, hi uint64) {
 	copy(r.stream[dst:dst+n], c.Payload[off:off+n])
 }
 
-// trackFrame records where external PDU c.X.ID sits in the stream.
-//
-//lint:hot
-func (r *Receiver) trackFrame(c *chunk.Chunk) {
-	f, ok := r.frames[c.X.ID]
-	if !ok {
-		f = frameRec{startElem: c.C.SN - c.X.SN}
+// tpdu returns TPDU tid's record, creating it if needed.
+func (r *Receiver) tpdu(tid uint32) *tRec {
+	if t := r.tids[tid]; t != nil {
+		return t
+	}
+	if r.tfree == nil {
+		blk := grow(&r.tids)
+		for i := range blk {
+			blk[i].next, r.tfree = r.tfree, &blk[i]
+		}
+	}
+	t := r.tfree
+	r.tfree, t.next = t.next, nil
+	t.tid = tid
+	r.tids[tid] = t
+	return t
+}
+
+// freeT drops TPDU record t from the table and recycles it.
+func (r *Receiver) freeT(t *tRec) {
+	delete(r.tids, t.tid)
+	t.ed.Reset()
+	*t = tRec{ed: t.ed, next: r.tfree}
+	r.tfree = t
+}
+
+// frame returns the record of external PDU c.X.ID, creating it if
+// needed, and records where the frame sits in the stream.
+func (r *Receiver) frame(c *chunk.Chunk) *xRec {
+	x := r.frames[c.X.ID]
+	if x == nil {
+		if r.xfree == nil {
+			blk := grow(&r.frames)
+			for i := range blk {
+				blk[i].next, r.xfree = r.xfree, &blk[i]
+			}
+		}
+		x = r.xfree
+		r.xfree, x.next = x.next, nil
+		x.xid, x.startElem = c.X.ID, c.C.SN-c.X.SN
+		r.frames[c.X.ID] = x
 	}
 	if c.X.ST {
-		f.endElems = c.X.SN + uint64(c.Len)
-		f.haveEnd = true
+		x.endElems, x.haveEnd = c.X.SN+uint64(c.Len), true
 	}
-	r.frames[c.X.ID] = f
+	return x
 }
 
 // seen marks a TPDU as alive (not stale) and stamps the Poll round its
 // first chunk arrived in, for the reassembly-latency histogram.
-func (r *Receiver) seen(tid uint32) {
-	r.tids[tid] = true
-	delete(r.stale, tid) // arrival: the TPDU is not stale
+func (r *Receiver) seen(t *tRec) {
+	t.stale = 0
 	// Don't restart the latency clock for duplicates of a TPDU whose
 	// verdict telemetry already closed out (a retransmission after a
 	// lost ACK) — that would double-count the verdict in after().
-	if _, ok := r.firstSeen[tid]; !ok && !r.verdicted[tid] {
-		r.firstSeen[tid] = r.round
+	if !t.pending && !t.verdicted {
+		t.pending, t.arrived = true, r.round
 		r.pending++
 	}
 }
@@ -396,34 +461,33 @@ func (r *Receiver) seen(tid uint32) {
 // with other control, Appendix A).
 //
 //lint:hot
-func (r *Receiver) after(tid uint32) {
-	v := r.ed.Verdict(tid)
+func (r *Receiver) after(t *tRec) {
+	v := t.ed.Verdict()
 	if v == errdet.VerdictPending {
 		return
 	}
 	if v == errdet.VerdictEDMismatch && r.cfg.Repair {
-		if cor, ok := r.ed.Repair(tid); ok {
+		if cor, ok := r.ed.RepairTPDU(&t.ed, t.tid); ok {
 			cor.Apply(r.stream, r.size())
 			r.repaired++
 			r.tel.repaired.Inc()
-			v = r.ed.Verdict(tid)
+			v = t.ed.Verdict()
 		}
 	}
-	if r.cfg.OnTPDU != nil && !r.notified[tid] {
-		r.notified[tid] = true
-		r.cfg.OnTPDU(tid, v)
+	if r.cfg.OnTPDU != nil && !t.notified {
+		t.notified = true
+		r.cfg.OnTPDU(t.tid, v)
 	}
 	// First time this TPDU reaches a verdict: close out its telemetry
 	// (reassembly latency in Poll rounds, verified/failed counts, the
 	// TPDU-complete lifecycle event).
-	if first, ok := r.firstSeen[tid]; ok {
-		delete(r.firstSeen, tid)
-		r.verdicted[tid] = true
+	if t.pending {
+		t.pending, t.verdicted = false, true
 		r.pending--
-		r.tel.polls.Observe(int64(r.round - first))
+		r.tel.polls.Observe(int64(r.round - t.arrived))
 		if v == errdet.VerdictOK {
 			r.tel.verified.Inc()
-			r.tel.ring.Record(telemetry.EvComplete, r.cid, tid, uint64(tid), 0)
+			r.tel.ring.Record(telemetry.EvComplete, r.cid, t.tid, uint64(t.tid), 0)
 		} else {
 			r.tel.failed.Inc()
 		}
@@ -432,41 +496,45 @@ func (r *Receiver) after(tid uint32) {
 		// ACK on first completion AND on every later duplicate: a
 		// duplicate means the sender retransmitted, which means the
 		// previous ACK was lost.
-		if !r.acked[tid] {
-			r.acked[tid] = true
+		if !t.acked {
+			t.acked = true
 			r.verified++
 			if r.cfg.RetireVerified > 0 {
-				r.ackRing = append(r.ackRing, tid)
-				for len(r.ackRing)-r.ringHead > r.cfg.RetireVerified {
-					old := r.ackRing[r.ringHead]
-					r.ackRing[r.ringHead] = 0
-					r.ringHead++
-					r.retire(old)
-				}
-				// Compact the ring once the dead prefix dominates, so
-				// the FIFO stays O(RetireVerified) without per-ACK
-				// reallocation.
-				if r.ringHead >= 64 && r.ringHead*2 >= len(r.ackRing) {
-					n := copy(r.ackRing, r.ackRing[r.ringHead:])
-					r.ackRing = r.ackRing[:n]
-					r.ringHead = 0
-				}
+				r.queueRetire(t)
 			}
 		}
-		r.emitAck(tid)
+		r.emitAck(t.tid)
+	}
+}
+
+// queueRetire appends acknowledged TPDU t to the retirement FIFO and
+// retires the oldest entries beyond RetireVerified.
+func (r *Receiver) queueRetire(t *tRec) {
+	if r.ackTail == nil {
+		r.ackHead = t
+	} else {
+		r.ackTail.next = t
+	}
+	r.ackTail = t
+	r.queued++
+	for r.queued > r.cfg.RetireVerified {
+		old := r.ackHead
+		r.ackHead = old.next
+		r.queued--
+		r.retire(old)
 	}
 }
 
 // retire drops every trace of a verified, acknowledged TPDU, recycling
-// its verification state, and trims the delivered stream prefix when
-// tid is the oldest data held (out-of-order verification just delays
-// the trim until the gap retires). A retransmission of a retired TPDU
-// arriving later (lost ACK) is re-verified from scratch; its placement
-// below streamBase is dropped by place.
+// its record, and trims the delivered stream prefix when the TPDU is
+// the oldest data held (out-of-order verification just delays the trim
+// until the gap retires). A retransmission of a retired TPDU arriving
+// later (lost ACK) is re-verified from scratch; its placement below
+// streamBase is dropped by place.
 //
 //lint:hot
-func (r *Receiver) retire(tid uint32) {
-	if lo, hi, ok := r.ed.TPDUExtent(tid); ok && lo == r.streamBase {
+func (r *Receiver) retire(t *tRec) {
+	if lo, hi, ok := t.ed.Extent(); ok && lo == r.streamBase {
 		n := (hi - lo) * uint64(r.size())
 		if n <= uint64(len(r.stream)) {
 			rem := copy(r.stream, r.stream[n:])
@@ -474,15 +542,7 @@ func (r *Receiver) retire(tid uint32) {
 			r.streamBase = hi
 		}
 	}
-	r.ed.Retire(tid)
-	delete(r.tids, tid)
-	delete(r.progress, tid)
-	delete(r.stalled, tid)
-	delete(r.stale, tid)
-	delete(r.acked, tid)
-	delete(r.notified, tid)
-	delete(r.firstSeen, tid)
-	delete(r.verdicted, tid)
+	r.freeT(t)
 }
 
 // size returns the connection element size (signaled, defaulting to 4).
@@ -493,32 +553,31 @@ func (r *Receiver) size() uint16 {
 	return r.elemSize
 }
 
-// deliverFrames fires OnFrame for completed external PDUs. Under
-// RetireVerified the frame's tracking state is retired right after
-// completion (delivered or not), so per-frame state is recycled in
-// step with per-TPDU state.
+// deliverFrame fires OnFrame once external PDU x is complete. Under
+// RetireVerified the frame's record is recycled right after completion
+// (delivered or not), in step with per-TPDU state.
 //
 //lint:hot
-func (r *Receiver) deliverFrames(xid uint32) {
-	f, ok := r.frames[xid]
-	if !ok || !f.haveEnd || !r.ed.XComplete(xid) {
+func (r *Receiver) deliverFrame(x *xRec) {
+	if !x.haveEnd || !x.ed.Complete() {
 		return
 	}
-	if r.cfg.OnFrame != nil && !r.delivered[xid] {
-		r.delivered[xid] = true
+	if r.cfg.OnFrame != nil && !x.delivered {
+		x.delivered = true
 		es := uint64(r.size())
-		if f.startElem >= r.streamBase {
-			lo := (f.startElem - r.streamBase) * es
-			hi := lo + f.endElems*es
+		if x.startElem >= r.streamBase {
+			lo := (x.startElem - r.streamBase) * es
+			hi := lo + x.endElems*es
 			if hi <= uint64(len(r.stream)) {
-				r.cfg.OnFrame(xid, r.stream[lo:hi])
+				r.cfg.OnFrame(x.xid, r.stream[lo:hi])
 			}
 		}
 	}
 	if r.cfg.RetireVerified > 0 {
-		r.ed.RetireX(xid)
-		delete(r.frames, xid)
-		delete(r.delivered, xid)
+		delete(r.frames, x.xid)
+		x.ed.Reset()
+		*x = xRec{ed: x.ed, next: r.xfree}
+		r.xfree = x
 	}
 }
 
@@ -529,23 +588,22 @@ func (r *Receiver) deliverFrames(xid uint32) {
 func (r *Receiver) Poll() {
 	r.round++
 	var ctrl []chunk.Chunk
-	// Sorted scan: NACK emission order decides how control chunks pack
-	// into datagrams, so map iteration order would break seeded-run
-	// determinism. The tid buffer is receiver-owned scratch and
-	// slices.Sort needs no closure, keeping quiescent polls
+	// Ascending T.ID scan: NACK emission order decides how control
+	// chunks pack into datagrams, so table order would break
+	// seeded-run determinism. The buffer is receiver-owned scratch and
+	// the comparison captures nothing, keeping quiescent polls
 	// allocation-free.
-	tids := r.pollTids[:0]
-	for tid := range r.tids {
-		tids = append(tids, tid)
+	recs := r.pollRecs[:0]
+	for _, t := range r.tids {
+		recs = append(recs, t)
 	}
-	slices.Sort(tids)
-	r.pollTids = tids
-	for _, tid := range tids {
-		if r.acked[tid] || r.ed.Verdict(tid) != errdet.VerdictPending {
+	slices.SortFunc(recs, func(a, b *tRec) int { return cmp.Compare(a.tid, b.tid) })
+	r.pollRecs = recs
+	for _, t := range recs {
+		if !(t.pending || t.verdicted) || t.acked || t.ed.Verdict() != errdet.VerdictPending {
 			continue
 		}
-		miss := r.ed.Missing(tid)
-		haveEnd, high := r.ed.TPDUStatus(tid)
+		miss, haveEnd, high := t.ed.Status()
 		// Progress suppression: while data for this TPDU is still
 		// flowing in, hold the NACK — request retransmission only
 		// when a poll interval passes with no change.
@@ -554,31 +612,17 @@ func (r *Receiver) Poll() {
 			fp |= 1
 		}
 		// Reaping: an incomplete TPDU with no chunk arrivals for
-		// ReapAfter polls (r.stale is zeroed on every arrival) is
-		// given up on entirely — its verification state is dropped so
-		// a lossy or dead peer cannot pin receiver memory without
-		// bound. A retransmission arriving later rebuilds it from
-		// scratch.
-		r.stale[tid]++
-		if r.cfg.ReapAfter > 0 && r.stale[tid] >= r.cfg.ReapAfter {
-			if _, ok := r.firstSeen[tid]; ok {
-				r.pending--
-			}
-			r.ed.ResetTPDU(tid)
-			delete(r.tids, tid)
-			delete(r.progress, tid)
-			delete(r.stalled, tid)
-			delete(r.stale, tid)
-			delete(r.firstSeen, tid)
-			delete(r.verdicted, tid)
-			r.reaped++
-			r.tel.reapedC.Inc()
-			r.tel.ring.Record(telemetry.EvReaped, r.cid, tid, uint64(tid), 0)
+		// ReapAfter polls (stale is zeroed on every arrival) is given
+		// up on entirely — its verification state is dropped so a
+		// lossy or dead peer cannot pin receiver memory without bound.
+		// A retransmission arriving later rebuilds it from scratch.
+		t.stale++
+		if r.cfg.ReapAfter > 0 && int(t.stale) >= r.cfg.ReapAfter {
+			r.reap(t)
 			continue
 		}
-		if prev, ok := r.progress[tid]; !ok || prev != fp {
-			r.progress[tid] = fp
-			r.stalled[tid] = 0
+		if !t.hasProgress || t.progress != fp {
+			t.progress, t.hasProgress, t.stalled = fp, true, 0
 			continue
 		}
 		// Stall escalation: a TPDU that keeps receiving
@@ -586,12 +630,11 @@ func (r *Receiver) Poll() {
 		// state poisoned (e.g. a corrupted first chunk seeded wrong
 		// consistency baselines). Reset it and rebuild from the next
 		// retransmission.
-		r.stalled[tid]++
-		if r.stalled[tid] >= 4 {
-			r.stalled[tid] = 0
-			delete(r.progress, tid)
-			r.ed.ResetTPDU(tid)
-			ctrl = append(ctrl, Nack(r.cid, tid, []vr.Interval{{Lo: 0, Hi: ^uint64(0)}}))
+		t.stalled++
+		if t.stalled >= 4 {
+			t.stalled, t.hasProgress = 0, false
+			t.ed.Reset()
+			ctrl = append(ctrl, Nack(r.cid, t.tid, []vr.Interval{{Lo: 0, Hi: ^uint64(0)}}))
 			continue
 		}
 		if !haveEnd {
@@ -600,12 +643,30 @@ func (r *Receiver) Poll() {
 			// request to the TPDU's real extent.
 			miss = append(miss, vr.Interval{Lo: high, Hi: ^uint64(0)})
 		}
-		ctrl = append(ctrl, Nack(r.cid, tid, miss))
+		ctrl = append(ctrl, Nack(r.cid, t.tid, miss))
 	}
 	if len(ctrl) > 0 {
 		r.tel.nacks.Add(int64(len(ctrl)))
 		r.emit(ctrl)
 	}
+}
+
+// reap drops the state of a stale incomplete TPDU. Only the record of
+// an OnTPDU already fired survives, so the callback stays once per
+// TPDU.
+func (r *Receiver) reap(t *tRec) {
+	if t.pending {
+		r.pending--
+	}
+	r.reaped++
+	r.tel.reapedC.Inc()
+	r.tel.ring.Record(telemetry.EvReaped, r.cid, t.tid, uint64(t.tid), 0)
+	if !t.notified {
+		r.freeT(t)
+		return
+	}
+	t.ed.Reset()
+	*t = tRec{ed: t.ed, tid: t.tid, notified: true}
 }
 
 //lint:hot
@@ -619,15 +680,14 @@ func (r *Receiver) emit(chs []chunk.Chunk) {
 	}
 }
 
-// emitAck emits a single ACK chunk through the receiver's reusable
-// control scratch: the one-chunk slice and the 4-byte ACK payload are
-// receiver fields, re-filled per call, so the verify → ACK steady path
-// allocates nothing.
+// emitAck emits a single ACK chunk. Its 4-byte payload is a receiver
+// field re-filled per call, so the verify → ACK steady path allocates
+// nothing.
 //
 //lint:hot
 func (r *Receiver) emitAck(tid uint32) {
-	r.ctrl = append(r.ctrl[:0], AckWith(r.cid, tid, r.ackBuf))
-	r.emit(r.ctrl)
+	ack := [1]chunk.Chunk{AckWith(r.cid, tid, r.ackBuf[:0])}
+	r.emit(ack[:])
 }
 
 // Recycle returns a control datagram previously handed to out to the
@@ -635,7 +695,7 @@ func (r *Receiver) emitAck(tid uint32) {
 // that copy or retain datagrams simply never call it.
 //
 //lint:hot
-func (r *Receiver) Recycle(d []byte) { r.pack.Buffers.Put(d) }
+func (r *Receiver) Recycle(d []byte) { ctrlBuffers.Put(d) }
 
 // Stream returns the application byte stream placed so far — all of it
 // with retirement off, the un-trimmed suffix starting at element
@@ -659,7 +719,10 @@ func (r *Receiver) FinalCSN() uint64 { return r.finalCSN }
 
 // Verified reports whether TPDU tid verified OK (and its state is
 // still held: a retired TPDU reports false).
-func (r *Receiver) Verified(tid uint32) bool { return r.acked[tid] }
+func (r *Receiver) Verified(tid uint32) bool {
+	t := r.tids[tid]
+	return t != nil && t.acked
+}
 
 // VerifiedCount returns how many TPDUs verified OK, including ones
 // since retired.
@@ -688,8 +751,8 @@ func (r *Receiver) NeedsPoll() bool { return r.pending > 0 }
 // state without a final verdict — the quantity reaping bounds.
 func (r *Receiver) PendingTPDUs() int {
 	n := 0
-	for tid := range r.tids {
-		if !r.acked[tid] && r.ed.Verdict(tid) == errdet.VerdictPending {
+	for _, t := range r.tids {
+		if (t.pending || t.verdicted) && !t.acked && t.ed.Verdict() == errdet.VerdictPending {
 			n++
 		}
 	}

@@ -1,8 +1,12 @@
 package transport
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"chunks/internal/chunk"
 	"chunks/internal/packet"
 )
 
@@ -137,6 +141,156 @@ func TestRetireVerifiedOffKeepsState(t *testing.T) {
 		if !r.Verified(tid) {
 			t.Fatalf("TPDU %d not verified", tid)
 		}
+	}
+}
+
+// TestOneDatagramTPDURecvAllocs bounds the receive path's allocations
+// for one-datagram TPDUs with RetireVerified unset (the core server's
+// configuration, where nothing is recycled): a new TPDU costs a table
+// insert and a record carved from a slab, so table growth, slabs and
+// stream growth amortise to well under one allocation per datagram.
+func TestOneDatagramTPDURecvAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, tc := range []struct {
+		name       string
+		mtu, elems int
+	}{{"1KiB", 1400, 256}, {"64B", 256, 16}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const tpdus = 1024
+			var dgrams [][]byte
+			s := NewSender(SenderConfig{CID: 7, MTU: tc.mtu, ElemSize: 4, TPDUElems: tc.elems}, func(d []byte) { dgrams = append(dgrams, d) })
+			payload := make([]byte, tc.elems*4)
+			for i := 0; i < tpdus; i++ {
+				payload[0], payload[1] = byte(i), byte(i>>8)
+				if err := s.Write(payload); err != nil {
+					t.Fatal(err)
+				}
+				s.EndFrame()
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(dgrams) != tpdus+1 { // the open signal, then one per TPDU
+				t.Fatalf("%d datagrams for %d TPDUs, want one each plus the open", len(dgrams), tpdus)
+			}
+			var r *Receiver
+			frames := 0
+			r, err := NewReceiver(ReceiverConfig{MTU: tc.mtu, OnFrame: func(uint32, []byte) { frames++ }}, func(d []byte) { r.Recycle(d) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for _, d := range dgrams {
+				if err := r.HandlePacket(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			if r.VerifiedCount() != tpdus || frames != tpdus {
+				t.Fatalf("verified %d TPDUs and delivered %d frames, want %d each", r.VerifiedCount(), frames, tpdus)
+			}
+			per := float64(m1.Mallocs-m0.Mallocs) / float64(len(dgrams))
+			t.Logf("%.3f allocations per datagram", per)
+			if per > 0.5 {
+				t.Errorf("receive path makes %.2f allocations per one-datagram TPDU, want <= 0.5", per)
+			}
+		})
+	}
+}
+
+// TestForgedTIDsCostOneRecordEach pins the receiver's resource bound
+// against forged identifiers: data chunks under distinct random T.IDs
+// grow the live heap by at most one TPDU record plus 64 B each, so no
+// allocation is sized by a T.ID's magnitude, and reaping returns the
+// records to the free list, where the next wave finds them.
+func TestForgedTIDsCostOneRecordEach(t *testing.T) {
+	const n = 10000
+	rng := rand.New(rand.NewSource(5))
+	wave := func() []uint32 {
+		seen := make(map[uint32]bool, n)
+		tids := make([]uint32, 0, n)
+		for len(tids) < n {
+			if tid := rng.Uint32(); !seen[tid] {
+				seen[tid] = true
+				tids = append(tids, tid)
+			}
+		}
+		return tids
+	}
+	r, err := NewReceiver(ReceiverConfig{ReapAfter: 1}, func([]byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One element each, none ending its TPDU, all of one external PDU at
+	// one stream position: only the per-TPDU state can grow.
+	payload := make([]byte, 4)
+	ingest := func(tids []uint32) {
+		for _, tid := range tids {
+			c := chunk.Chunk{Type: chunk.TypeData, Size: 4, Len: 1, C: chunk.Tuple{ID: 7}, T: chunk.Tuple{ID: tid}, X: chunk.Tuple{ID: 1}, Payload: payload}
+			if err := r.HandleChunk(&c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	first, second := wave(), wave()
+
+	h0 := liveHeap()
+	ingest(first)
+	h1 := liveHeap()
+	if got := r.PendingTPDUs(); got != n {
+		t.Fatalf("%d TPDUs pending, want %d", got, n)
+	}
+	budget := uint64(n) * (uint64(unsafe.Sizeof(tRec{})) + 64)
+	t.Logf("live heap grew %d B for %d forged T.IDs (%d B each; record %d B)", h1-h0, n, (h1-h0)/n, unsafe.Sizeof(tRec{}))
+	if h1 > h0 && h1-h0 > budget {
+		t.Errorf("live heap grew %d B for %d forged T.IDs, want <= %d", h1-h0, n, budget)
+	}
+
+	r.Poll() // ReapAfter 1: every forged TPDU is stale
+	if len(r.tids) != 0 || r.Reaped() != n || r.NeedsPoll() {
+		t.Fatalf("after reaping: %d records tracked, %d reaped, want 0 and %d", len(r.tids), r.Reaped(), n)
+	}
+	freeList := func() int {
+		n := 0
+		for f := r.tfree; f != nil; f = f.next {
+			n++
+		}
+		return n
+	}
+	free := freeList()
+	if free < n {
+		t.Fatalf("free list holds %d records after reaping %d", free, n)
+	}
+
+	ingest(second)
+	if got := freeList(); got != free-n || len(r.tids) != n {
+		t.Fatalf("second wave: %d records tracked, free list %d -> %d, want %d drawn from it", len(r.tids), free, got, n)
+	}
+}
+
+// TestNewReceiverAllocs pins NewReceiver's allocation count: tables and
+// slabs are made on the first data chunk, so a receiver that never sees
+// data (core.Serve builds one) stays cheap.
+func TestNewReceiverAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := NewReceiver(ReceiverConfig{}, func([]byte) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("NewReceiver makes %.0f allocations, want <= 3", allocs)
 	}
 }
 

@@ -28,29 +28,60 @@ func (iv Interval) String() string { return fmt.Sprintf("[%d,%d)", iv.Lo, iv.Hi)
 
 // An IntervalSet is a set of element positions stored as sorted,
 // disjoint, non-adjacent intervals. The zero value is an empty set.
+//
+// A set that has only ever needed one interval at a time — every PDU
+// whose pieces arrive in order — keeps it inline and allocates nothing;
+// the interval slice comes into use at the first gap.
 type IntervalSet struct {
-	ivs []Interval
-	// fresh is Add's reusable result scratch: the steady receive path
-	// calls Add once per chunk, and re-allocating the (usually
-	// single-interval) fresh slice per call was the dominant
-	// virtual-reassembly allocation.
-	fresh []Interval
+	one [1]Interval // the set while ivs is empty; empty when Lo == Hi
+	ivs []Interval  // the set once it has held two intervals at a time
 }
 
-// Add inserts [lo, hi) and returns the sub-intervals that were NOT
-// already present — the "fresh" data. A fully duplicate insert returns
-// nil. Partial overlaps return only the new parts, letting callers
-// process (checksum, place) each element exactly once.
-//
-// The returned slice is owned by the set and valid only until the next
-// Add on the same set; callers that retain it must copy it first.
+// spans returns the set's intervals without copying.
+func (s *IntervalSet) spans() []Interval {
+	if len(s.ivs) > 0 || s.one[0].Lo == s.one[0].Hi {
+		return s.ivs
+	}
+	return s.one[:]
+}
+
+// Add is AddTo into a new slice: nil when nothing was fresh.
+func (s *IntervalSet) Add(lo, hi uint64) []Interval { return s.AddTo(nil, lo, hi) }
+
+// AddTo inserts [lo, hi) and appends to fresh the sub-intervals that
+// were NOT already present — the "fresh" data — returning the extended
+// slice. A fully duplicate insert appends nothing. Partial overlaps
+// yield only the new parts, letting callers process (checksum, place)
+// each element exactly once. The caller owns fresh, so a reused
+// scratch makes the steady path allocation-free.
 //
 //lint:hot
-func (s *IntervalSet) Add(lo, hi uint64) []Interval {
+func (s *IntervalSet) AddTo(fresh []Interval, lo, hi uint64) []Interval {
 	if lo >= hi {
-		return nil
+		return fresh
 	}
-	fresh := s.fresh[:0]
+	if len(s.ivs) == 0 {
+		one := &s.one[0]
+		switch {
+		case one.Lo == one.Hi: // empty set
+			*one = Interval{lo, hi}
+			return append(fresh, *one)
+		case lo <= one.Hi && one.Lo <= hi: // overlaps or touches: still one interval
+			if lo < one.Lo {
+				fresh = append(fresh, Interval{lo, one.Lo})
+			}
+			if hi > one.Hi {
+				fresh = append(fresh, Interval{one.Hi, hi})
+			}
+			*one = Interval{min(lo, one.Lo), max(hi, one.Hi)}
+			return fresh
+		}
+		// A gap opens: move to the slice, which keeps its capacity
+		// across Reset.
+		s.ivs = append(s.ivs, *one)
+		*one = Interval{}
+	}
+	n := len(fresh)
 	cur := lo
 	// Walk existing intervals overlapping or beyond [lo, hi).
 	i := 0
@@ -68,25 +99,19 @@ func (s *IntervalSet) Add(lo, hi uint64) []Interval {
 	if cur < hi {
 		fresh = append(fresh, Interval{cur, hi})
 	}
-	s.fresh = fresh
-	if len(fresh) == 0 {
-		return nil
+	if len(fresh) == n {
+		return fresh
 	}
 	// Splice in place: replace the k-i intervals overlapping/adjacent
 	// to [lo,hi) with one merged interval. Replacing at least one
 	// interval (k > i) never reallocates; pure insertion (k == i)
 	// shifts the tail up within capacity and only a capacity-growing
-	// append allocates — amortised away on the in-order steady path,
-	// where the new range extends ivs[i-1] or appends at the end.
+	// append allocates.
 	newLo, newHi := lo, hi
 	k := i
 	for k < len(s.ivs) && s.ivs[k].Lo <= hi {
-		if s.ivs[k].Lo < newLo {
-			newLo = s.ivs[k].Lo
-		}
-		if s.ivs[k].Hi > newHi {
-			newHi = s.ivs[k].Hi
-		}
+		newLo = min(newLo, s.ivs[k].Lo)
+		newHi = max(newHi, s.ivs[k].Hi)
 		k++
 	}
 	merged := Interval{newLo, newHi}
@@ -114,7 +139,7 @@ func (s *IntervalSet) Overlap(lo, hi uint64) []Interval {
 		return nil
 	}
 	var out []Interval
-	for _, iv := range s.ivs {
+	for _, iv := range s.spans() {
 		if iv.Lo >= hi {
 			break
 		}
@@ -135,7 +160,7 @@ func (s *IntervalSet) Overlap(lo, hi uint64) []Interval {
 
 // Contains reports whether position sn is present.
 func (s *IntervalSet) Contains(sn uint64) bool {
-	for _, iv := range s.ivs {
+	for _, iv := range s.spans() {
 		if sn < iv.Lo {
 			return false
 		}
@@ -151,7 +176,7 @@ func (s *IntervalSet) Covered(lo, hi uint64) bool {
 	if lo >= hi {
 		return true
 	}
-	for _, iv := range s.ivs {
+	for _, iv := range s.spans() {
 		if iv.Lo <= lo && hi <= iv.Hi {
 			return true
 		}
@@ -162,7 +187,7 @@ func (s *IntervalSet) Covered(lo, hi uint64) bool {
 // Total returns the number of elements in the set.
 func (s *IntervalSet) Total() uint64 {
 	var n uint64
-	for _, iv := range s.ivs {
+	for _, iv := range s.spans() {
 		n += iv.Len()
 	}
 	return n
@@ -170,7 +195,7 @@ func (s *IntervalSet) Total() uint64 {
 
 // Spans returns a copy of the interval list (sorted, disjoint).
 func (s *IntervalSet) Spans() []Interval {
-	return append([]Interval(nil), s.ivs...)
+	return append([]Interval(nil), s.spans()...)
 }
 
 // Gaps returns the missing intervals within [0, hi) — the data a
@@ -178,7 +203,7 @@ func (s *IntervalSet) Spans() []Interval {
 func (s *IntervalSet) Gaps(hi uint64) []Interval {
 	var out []Interval
 	cur := uint64(0)
-	for _, iv := range s.ivs {
+	for _, iv := range s.spans() {
 		if iv.Lo >= hi {
 			break
 		}
@@ -197,7 +222,15 @@ func (s *IntervalSet) Gaps(hi uint64) []Interval {
 
 // Fragments returns the number of stored intervals — a proxy for
 // tracker state size (the VLSI unit's CAM occupancy).
-func (s *IntervalSet) Fragments() int { return len(s.ivs) }
+func (s *IntervalSet) Fragments() int { return len(s.spans()) }
 
-// Reset empties the set.
-func (s *IntervalSet) Reset() { s.ivs = s.ivs[:0] }
+// High returns one past the highest position present, 0 when empty.
+func (s *IntervalSet) High() uint64 {
+	if ivs := s.spans(); len(ivs) > 0 {
+		return ivs[len(ivs)-1].Hi
+	}
+	return 0
+}
+
+// Reset empties the set, keeping the interval slice's capacity.
+func (s *IntervalSet) Reset() { s.one[0], s.ivs = Interval{}, s.ivs[:0] }

@@ -16,6 +16,10 @@ type PDU struct {
 	// when the ST-bearing chunk arrives.
 	end     uint64
 	haveEnd bool
+	// fresh is Add's result scratch: one interval covers every add
+	// that lands in a gap or extends the data, so a new PDU allocates
+	// nothing to report it.
+	fresh [1]Interval
 }
 
 // Errors reported by PDU tracking. Both indicate corruption that the
@@ -40,7 +44,8 @@ func beyondEndErr(lo, hi, end uint64) error {
 
 // Add records a chunk covering elements [sn, sn+n) with st set if the
 // chunk's last element ends the PDU. It returns the fresh (previously
-// unseen) sub-intervals; duplicates return nil.
+// unseen) sub-intervals; duplicates return nil. The result is valid
+// until the next Add or AddChecked on p.
 func (p *PDU) Add(sn, n uint64, st bool) ([]Interval, error) {
 	if n == 0 {
 		return nil, nil
@@ -56,7 +61,10 @@ func (p *PDU) Add(sn, n uint64, st bool) ([]Interval, error) {
 	if p.haveEnd && sn+n > p.end {
 		return nil, beyondEndErr(sn, sn+n, p.end) //lint:allow hotalloc cold error path: fmt boxes its operands
 	}
-	return p.set.Add(sn, sn+n), nil
+	if fresh := p.set.AddTo(p.fresh[:0], sn, sn+n); len(fresh) > 0 {
+		return fresh, nil
+	}
+	return nil, nil
 }
 
 // Reset returns the PDU to the empty state, keeping the interval
@@ -86,10 +94,10 @@ func (p *PDU) Missing() []Interval {
 	if p.haveEnd {
 		return p.set.Gaps(p.end)
 	}
-	if len(p.set.ivs) == 0 {
+	if p.set.Fragments() == 0 {
 		return nil
 	}
-	return p.set.Gaps(p.set.ivs[len(p.set.ivs)-1].Hi)
+	return p.set.Gaps(p.set.High())
 }
 
 // Fragments returns the current interval count (state footprint).
@@ -98,12 +106,7 @@ func (p *PDU) Fragments() int { return p.set.Fragments() }
 // High returns one past the highest element SN received, 0 when empty
 // — what a receiver asks to have retransmitted "from" when the PDU's
 // end is still unknown.
-func (p *PDU) High() uint64 {
-	if len(p.set.ivs) == 0 {
-		return 0
-	}
-	return p.set.ivs[len(p.set.ivs)-1].Hi
-}
+func (p *PDU) High() uint64 { return p.set.High() }
 
 // A Key identifies a PDU instance within one connection: the framing
 // level plus the PDU's ID.
