@@ -90,7 +90,7 @@ func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nC
 	streams := make(map[uint32][]byte, nConns)
 	for c := 0; c < nConns; c++ {
 		cid := uint32(c + 1)
-		st := srv.StreamOf(cid, addrKey(batchFrom(c)))
+		st := srv.StreamOf(cid, batchFrom(c).String())
 		if len(st) == 0 {
 			t.Fatalf("batchSize=%d: connection %d has no stream", batchSize, cid)
 		}

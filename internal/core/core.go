@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"chunks/internal/batch"
-	"chunks/internal/chunk"
 	"chunks/internal/errdet"
 	"chunks/internal/packet"
 	"chunks/internal/telemetry"
@@ -149,7 +148,9 @@ type Config struct {
 	// path: outgoing control datagrams (ACK/NACK) are handed to the
 	// callback instead of the socket. In-process harnesses (experiment
 	// C1) pair it with Server.Inject to drive the engine without
-	// socket I/O.
+	// socket I/O. The datagram is valid only for the duration of the
+	// call — its buffer is recycled when the callback returns — so a
+	// callback that keeps it must copy it.
 	ControlOut func(datagram []byte, peer *net.UDPAddr)
 }
 
@@ -255,6 +256,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	go func() {
 		defer c.wg.Done()
 		buf := make([]byte, 65536)
+		var dec packet.Packet
 		for {
 			_ = sock.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //lint:allow detrand socket read deadline: I/O pacing, not protocol state
 			n, err := sock.Read(buf)
@@ -266,7 +268,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 					continue
 				}
 			}
-			c.handleControl(buf[:n])
+			c.handleControl(buf[:n], &dec)
 		}
 	}()
 	// Retransmission timer: adaptive RTO with exponential backoff,
@@ -324,17 +326,19 @@ func (c *Conn) firePeerDead(err error) {
 	})
 }
 
-func (c *Conn) handleControl(datagram []byte) {
-	chs, err := decodePacketChunks(datagram)
-	if err != nil {
+// handleControl feeds one control datagram's ACK/NACK chunks to the
+// sender. dec is the control reader's decode scratch; its chunks alias
+// datagram, which is safe because the sender retains neither.
+func (c *Conn) handleControl(datagram []byte, dec *packet.Packet) {
+	if packet.DecodeInto(datagram, dec) != nil {
 		return
 	}
 	now := time.Since(c.epoch) //lint:allow detrand real-socket RTT measurement; tests drive HandleControlAt with virtual time
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.flushPending() // NACKs may have queued retransmissions
-	for i := range chs {
-		_ = c.s.HandleControlAt(&chs[i], now)
+	for i := range dec.Chunks {
+		_ = c.s.HandleControlAt(&dec.Chunks[i], now)
 	}
 	c.telUnacked.Set(int64(c.s.Unacked()))
 	// ACKs may have shrunk the in-flight window: wake blocked writers.
@@ -482,17 +486,4 @@ func (c *Conn) Shutdown() {
 	c.mu.Unlock()
 	c.wg.Wait()
 	_ = c.sock.Close()
-}
-
-// decodePacketChunks unpacks one datagram into cloned chunks.
-func decodePacketChunks(d []byte) ([]chunk.Chunk, error) {
-	p, err := packet.Decode(d)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]chunk.Chunk, len(p.Chunks))
-	for i := range p.Chunks {
-		out[i] = p.Chunks[i].Clone()
-	}
-	return out, nil
 }

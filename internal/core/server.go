@@ -6,6 +6,7 @@ import (
 	"log"
 	"net"
 	"net/netip"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -154,8 +155,9 @@ func (s *Server) receiverConfig() transport.ReceiverConfig {
 }
 
 // establish builds and admits the connection for key. Called with
-// key's shard locked. On admission refusal or setup failure it
-// returns nil and the reason; the caller drops the chunks and fires
+// key's shard locked; key.Addr must be heap-owned, since the table and
+// the receiver closure keep it. On admission refusal or setup failure
+// it returns nil and the reason; the caller drops the chunks and fires
 // any callback outside the lock.
 func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from netip.AddrPort) (*serverConn, error) {
 	peer := net.UDPAddrFromAddrPort(netip.AddrPortFrom(from.Addr().Unmap(), from.Port()))
@@ -168,17 +170,18 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 		}
 		// The out callback captures the ESTABLISHMENT address: control
 		// always goes there, no matter who sent the datagram that
-		// triggered it. The socket path recycles the datagram buffer
-		// into the receiver's packer pool once the kernel has copied it.
+		// triggered it. The datagram buffer goes back into the
+		// receiver's packer pool once the kernel, or ControlOut, is done
+		// with it (ControlOut must not retain it).
 		sc := &serverConn{peer: peer, cid: key.CID}
+		co := s.cfg.ControlOut
 		out := func(d []byte) {
-			_, _ = s.sock.WriteToUDP(d, peer)
+			if co != nil {
+				co(d, peer)
+			} else {
+				_, _ = s.sock.WriteToUDP(d, peer)
+			}
 			sc.r.Recycle(d)
-		}
-		if s.cfg.ControlOut != nil {
-			// User callbacks may retain the datagram; no recycling.
-			co := s.cfg.ControlOut
-			out = func(d []byte) { co(d, peer) }
 		}
 		r, err := transport.NewReceiver(cfg, out)
 		if err != nil {
@@ -204,17 +207,6 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 	return c, nil
 }
 
-// addrCacheMax bounds each read loop's source-address string cache;
-// past it the cache resets rather than growing with spoofed sources.
-const addrCacheMax = 4096
-
-// addrKey formats a datagram source as the connection-table key —
-// identical to what (*net.UDPAddr).String() reports for the same peer,
-// so the scalar and batched ingestion paths key connections alike.
-func addrKey(ap netip.AddrPort) string {
-	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()).String()
-}
-
 func (s *Server) readLoop() {
 	defer s.wg.Done()
 	if s.cfg.RecvBatch <= 1 {
@@ -223,7 +215,6 @@ func (s *Server) readLoop() {
 	}
 	br := batch.NewReader(s.sock, s.cfg.RecvBatch, 65536)
 	var dec packet.Packet
-	cache := make(map[netip.AddrPort]string, 64)
 	var backoff time.Duration
 	for {
 		if !br.Batched() {
@@ -244,7 +235,7 @@ func (s *Server) readLoop() {
 		}
 		backoff = 0
 		for i := 0; i < n; i++ {
-			s.injectScratch(br.Datagram(i), br.Addr(i), &dec, cache)
+			s.ingest(br.Datagram(i), br.Addr(i), &dec)
 		}
 	}
 }
@@ -254,10 +245,11 @@ func (s *Server) readLoop() {
 // batching against.
 func (s *Server) scalarReadLoop() {
 	buf := make([]byte, 65536)
+	var dec packet.Packet
 	var backoff time.Duration
 	for {
 		_ = s.sock.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //lint:allow detrand socket read deadline: I/O pacing, not protocol state
-		n, from, err := s.sock.ReadFromUDP(buf)
+		n, from, err := s.sock.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if !s.recvErr(err, &backoff) {
 				return
@@ -265,7 +257,7 @@ func (s *Server) scalarReadLoop() {
 			continue
 		}
 		backoff = 0
-		s.Inject(buf[:n], from)
+		s.ingest(buf[:n], from, &dec)
 	}
 }
 
@@ -318,44 +310,37 @@ func (s *Server) recvErr(err error, backoff *time.Duration) bool {
 // Experiment C1 and tests drive the sharded engine through Inject
 // without socket I/O; Config.ControlOut captures the reverse path.
 func (s *Server) Inject(datagram []byte, from *net.UDPAddr) {
-	p, err := packet.Decode(datagram)
-	if err != nil {
-		return // not a chunk packet; ignore
-	}
-	s.telDatagrams.Inc()
-	s.route(&p, from.String(), from.AddrPort())
+	var dec packet.Packet
+	s.ingest(datagram, from.AddrPort(), &dec)
 }
 
-// InjectBatch ingests a burst of datagrams sharing one decode scratch
-// and source-address cache — the in-process twin of the batched read
-// loop, for tests and experiments that drive the engine without socket
-// I/O. froms[i] is the source of dgrams[i].
+// InjectBatch ingests a burst of datagrams sharing one decode scratch —
+// the in-process twin of the batched read loop, for tests and
+// experiments that drive the engine without socket I/O. froms[i] is
+// the source of dgrams[i].
 func (s *Server) InjectBatch(dgrams [][]byte, froms []netip.AddrPort) {
 	var dec packet.Packet
-	cache := make(map[netip.AddrPort]string, 8)
 	for i := range dgrams {
-		s.injectScratch(dgrams[i], froms[i], &dec, cache)
+		s.ingest(dgrams[i], froms[i], &dec)
 	}
 }
 
-// injectScratch is Inject with caller-owned decode scratch and
-// source-address cache: the steady batched receive path re-uses both
-// across every datagram of every burst, so ingestion of a known peer's
-// datagram allocates nothing before the shard lock.
-func (s *Server) injectScratch(datagram []byte, from netip.AddrPort, dec *packet.Packet, cache map[netip.AddrPort]string) {
+// ingest decodes one datagram into the caller's scratch and routes its
+// chunks: the one ingestion path of both read loops, Inject and
+// InjectBatch. The connection-table key is the "ip:port" text
+// (*net.UDPAddr).String() reports for the source, IPv4-mapped sources
+// unmapped. It is formatted into a stack buffer and route does not let
+// it escape, so ingestion of a known peer's datagram allocates nothing
+// before the shard lock; only text past the runtime's 32-byte
+// conversion buffer (long IPv6 sources) reaches the heap.
+func (s *Server) ingest(datagram []byte, from netip.AddrPort, dec *packet.Packet) {
 	if packet.DecodeInto(datagram, dec) != nil {
 		return // not a chunk packet; ignore
 	}
 	s.telDatagrams.Inc()
-	addr, ok := cache[from]
-	if !ok {
-		addr = addrKey(from)
-		if len(cache) >= addrCacheMax {
-			clear(cache)
-		}
-		cache[from] = addr
-	}
-	s.route(dec, addr, from)
+	var buf [64]byte
+	key := netip.AddrPortFrom(from.Addr().Unmap(), from.Port()).AppendTo(buf[:0])
+	s.route(dec, string(key), from)
 }
 
 // connEvent defers a connection-lifecycle callback until the shard
@@ -367,7 +352,8 @@ type connEvent struct {
 }
 
 // route walks one decoded packet's chunks into their (C.ID, source)
-// connections. addr is the precomputed connection-table key for from.
+// connections. addr is the connection-table key for from; it must not
+// escape (ingest builds it on the stack), so establishment clones it.
 func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort) {
 	var events []connEvent
 
@@ -389,10 +375,10 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort) {
 		key := shard.Key{CID: cid, Addr: addr}
 		sh := s.eng.Shard(key)
 		sh.Lock()
-		c, ok := sh.Get(key)
+		c, ok := sh.Lookup(key)
 		if !ok {
 			var err error
-			if c, err = s.establish(sh, key, from); err != nil {
+			if c, err = s.establish(sh, shard.Key{CID: cid, Addr: strings.Clone(addr)}, from); err != nil {
 				sh.Unlock()
 				if errors.Is(err, shard.ErrMaxConns) && s.cfg.OnConnRefused != nil {
 					events = append(events, connEvent{cid: cid, peer: net.UDPAddrFromAddrPort(from), fire: s.cfg.OnConnRefused})
@@ -401,7 +387,6 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort) {
 				continue
 			}
 		}
-		sh.Touch(key)
 		for ; i < j; i++ {
 			if err := c.r.HandleChunk(&p.Chunks[i]); errors.Is(err, transport.ErrConnectionRejected) {
 				// The vr.RejectConnection overlap policy tripped: tear

@@ -164,7 +164,7 @@ func (e *Engine[C]) Live() int { return int(e.live.Load()) }
 func (e *Engine[C]) Refused() int { return int(e.refused.Load()) }
 
 // Lock acquires the shard's mutex. Every per-connection operation
-// (Get, Establish, Remove, Touch, ArmPoll) requires it.
+// (Get, Lookup, Establish, Remove, Touch, ArmPoll) requires it.
 func (s *Shard[C]) Lock() { s.mu.Lock() }
 
 // Unlock releases the shard's mutex.
@@ -234,6 +234,18 @@ func (s *Shard[C]) Touch(k Key) {
 	if en, ok := s.conns[k]; ok {
 		en.lastActive = s.wheel.now
 	}
+}
+
+// Lookup is Get and Touch in one map access: it returns k's connection
+// and marks it active at the current tick. The datagram hot path uses
+// it once per chunk run. Lock held.
+func (s *Shard[C]) Lookup(k Key) (C, bool) {
+	if en, ok := s.conns[k]; ok {
+		en.lastActive = s.wheel.now
+		return en.val, true
+	}
+	var zero C
+	return zero, false
 }
 
 // ArmPoll schedules a poll for k at the next tick if none is pending.

@@ -148,6 +148,41 @@ func TestIdleExpiryLazyRenewal(t *testing.T) {
 	}
 }
 
+// TestLookupTouches verifies Lookup is Get plus Touch: it returns the
+// connection and renews its idle lease exactly as Touch does, and a
+// missing key reports absent without creating an entry.
+func TestLookupTouches(t *testing.T) {
+	e := New(Config[int]{Shards: 2, IdleTicks: 2})
+	k := Key{1, "busy"}
+	establish(t, e, k, 42)
+	sh := e.Shard(k)
+	for tick := 1; tick <= 3; tick++ {
+		if exp := e.Tick(); len(exp) != 0 {
+			t.Fatalf("tick %d: looked-up conn expired: %v", tick, exp)
+		}
+		sh.Lock()
+		v, ok := sh.Lookup(k)
+		sh.Unlock()
+		if !ok || v != 42 {
+			t.Fatalf("tick %d: Lookup = %d, %v; want 42, true", tick, v, ok)
+		}
+	}
+	// Last Lookup at tick 3: the lease runs out at tick 5.
+	if exp := e.Tick(); len(exp) != 0 {
+		t.Fatalf("tick 4: early expiry %v", exp)
+	}
+	if exp := e.Tick(); len(exp) != 1 || exp[0].Key != k {
+		t.Fatalf("tick 5: expired %v, want %v", exp, k)
+	}
+	missing := Key{2, "absent"}
+	sh = e.Shard(missing)
+	sh.Lock()
+	defer sh.Unlock()
+	if _, ok := sh.Lookup(missing); ok || sh.Len() != 0 {
+		t.Fatalf("Lookup of a missing key: ok=%v, shard Len=%d; want false, 0", ok, sh.Len())
+	}
+}
+
 // TestPollRearm verifies poll-timer lifecycle: ArmPoll is idempotent,
 // a true return reschedules next tick, false disarms until the next
 // ArmPoll.
