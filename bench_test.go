@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"chunks/internal/batch"
 	"chunks/internal/core"
 	"chunks/internal/experiments"
 	"chunks/internal/telemetry"
@@ -264,93 +263,4 @@ func BenchmarkTelemetryHotPath(b *testing.B) {
 			return reg.Sink("send"), reg.Sink("recv")
 		})
 	})
-}
-
-// P10: the batched receive fast path over real loopback sockets. Each
-// sub-benchmark stands up a server in the named receive mode, blasts
-// buffer-sized bursts of a pre-built seeded schedule at it through
-// the sendmmsg writer, and counts an iteration per datagram the
-// server ingests — the socket-to-HandlePacket path of experiment P10
-// (chunkbench -exp P10 records the full scalar-vs-batched sweep in
-// BENCH_recv.json).
-func BenchmarkP10BatchedPath(b *testing.B) {
-	var sched [][]byte
-	s := transport.NewSender(transport.SenderConfig{
-		CID: 1, MTU: 1400, ElemSize: 4, TPDUElems: 1024,
-	}, func(d []byte) { sched = append(sched, append([]byte(nil), d...)) })
-	payload := make([]byte, 4096)
-	for len(sched) < 512 {
-		if err := s.Write(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := s.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	var wire int
-	for _, d := range sched {
-		wire += len(d)
-	}
-
-	for _, mode := range []struct {
-		name      string
-		recvBatch int
-	}{{"path=scalar", 1}, {"path=batched", 32}} {
-		b.Run(mode.name, func(b *testing.B) {
-			reg := telemetry.New(0)
-			srv, err := core.Serve("127.0.0.1:0", core.Config{
-				Shards:      4,
-				RecvBatch:   mode.recvBatch,
-				Telemetry:   reg,
-				IdleTimeout: 10 * time.Minute,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Shutdown()
-			raddr, err := net.ResolveUDPAddr("udp", srv.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			conn, err := net.DialUDP("udp", nil, raddr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			_ = conn.SetWriteBuffer(4 << 20)
-			w := batch.NewWriter(conn, 64)
-			ctr := reg.Scope("server").Counter("datagrams_in")
-
-			wait := func(target int64) {
-				deadline := time.Now().Add(30 * time.Second)
-				for ctr.Load() < target && time.Now().Before(deadline) {
-					time.Sleep(100 * time.Microsecond)
-				}
-				if got := ctr.Load(); got < target {
-					b.Fatalf("ingested %d of %d datagrams before timeout", got, target)
-				}
-			}
-			// Establish the connection with one untimed burst.
-			if err := w.Write(sched); err != nil {
-				b.Fatal(err)
-			}
-			wait(int64(len(sched)))
-
-			b.SetBytes(int64(wire / len(sched)))
-			b.ResetTimer()
-			sent := int64(len(sched))
-			for n := 0; n < b.N; {
-				burst := len(sched)
-				if rem := b.N - n; rem < burst {
-					burst = rem
-				}
-				if err := w.Write(sched[:burst]); err != nil {
-					b.Fatal(err)
-				}
-				sent += int64(burst)
-				wait(sent)
-				n += burst
-			}
-		})
-	}
 }

@@ -10,8 +10,6 @@
 //	chunkbench -exp O1         # overlap matrix; also writes BENCH_overlap.json
 //	chunkbench -exp C1         # 1k→100k connection scale sweep; writes BENCH_scale.json
 //	chunkbench -exp C1 -quick  # reduced C1 sweep (CI smoke)
-//	chunkbench -exp P10        # scalar vs batched receive path; writes BENCH_recv.json
-//	chunkbench -exp P10 -quick # reduced P10 sweep (CI smoke)
 package main
 
 import (
@@ -27,9 +25,9 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (F1..F7, T1, B1, P1..P10, O1, NET, C1) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (F1..F7, T1, B1, P1..P9, O1, NET, C1) or 'all'")
 	seed := flag.Int64("seed", 1, "deterministic seed for randomized workloads")
-	quick := flag.Bool("quick", false, "reduced C1/P10 sweep (CI smoke); the BENCH json is still written on -exp C1/P10")
+	quick := flag.Bool("quick", false, "reduced C1 sweep (CI smoke); BENCH_scale.json is still written on -exp C1")
 	flag.Parse()
 
 	var tables []*experiments.Table
@@ -39,17 +37,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	} else if strings.ToUpper(*exp) == "P10" {
-		// P10 is driven through P10Run so the raw sweep lands in
-		// BENCH_recv.json; -exp P10 is the one way to (re)write it.
-		tb, res, err := experiments.P10Run(*seed, *quick)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeRecvTrajectory(res); err != nil {
-			log.Fatal(err)
-		}
-		tables = []*experiments.Table{tb}
 	} else if strings.ToUpper(*exp) == "C1" {
 		// C1 is driven through C1Run so the raw sweep lands in
 		// BENCH_scale.json; -exp C1 is the one way to (re)write it.
@@ -99,21 +86,6 @@ func writeOverlapTrajectory(seed int64) error {
 		return err
 	}
 	fmt.Fprintln(os.Stderr, "wrote BENCH_overlap.json")
-	return nil
-}
-
-// writeRecvTrajectory records the raw P10 sweep (every readers ×
-// path cell) as BENCH_recv.json, the receive-path trajectory later
-// PRs diff against.
-func writeRecvTrajectory(res *experiments.RecvResult) error {
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_recv.json", append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "wrote BENCH_recv.json")
 	return nil
 }
 

@@ -9,6 +9,15 @@
 // transmission (sendmmsg(2)); both expose the burst as indexed
 // datagram views over preallocated buffers, so a steady receive loop
 // performs zero allocations per wakeup.
+//
+// On Linux the envelope itself grows too (§2: a packet is "merely an
+// envelope"). A Writer sends each run of equal-size datagrams as one
+// UDP_SEGMENT (GSO) message, so the kernel traverses its stack once per
+// run, not once per datagram; a Reader with 64 KiB slots enables
+// UDP_GRO and splits each coalesced buffer back into the datagrams that
+// were sent. The split is exact because every segment boundary is one
+// the sender's packer chose, so a single Read may return more datagrams
+// than the Reader has slots.
 package batch
 
 import (
@@ -23,25 +32,32 @@ import (
 // latency-invisible, long enough to empty a socket buffer.
 const drainDeadline = 200 * time.Microsecond
 
+// A seg is one datagram of the last Read: bytes [off, off+n) of a slot.
+// A GRO-coalesced slot holds several; any other slot holds one.
+type seg struct{ slot, off, n int32 }
+
 // A Reader receives UDP datagrams in batches. Each Read wakes up for
-// at least one datagram and drains up to Slots of them; Datagram and
-// Addr index the result. All buffers are preallocated: a steady Read
-// loop allocates nothing, on either implementation path.
+// at least one datagram and drains up to Slots kernel receives of them;
+// Datagram and Addr index the result. All buffers are preallocated: a
+// steady Read loop allocates nothing, on every implementation path.
 //
 // The Reader owns the socket read deadline during Read (the portable
 // drain rewrites it), so callers that want a bounded blocking wait
-// must set their deadline before every Read call.
+// must set their deadline before every Read call. GRO is a socket
+// option: every Reader sharing a socket with a GRO Reader must have
+// 64 KiB slots too.
 type Reader struct {
 	conn  *net.UDPConn
 	bufs  [][]byte
-	lens  []int
-	addrs []netip.AddrPort
-	mm    *mmsgReader // nil → portable deadline-drain fallback
+	addrs []netip.AddrPort // per slot
+	segs  []seg            // datagrams of the last Read, in arrival order
+	mm    *mmsgReader      // nil → portable deadline-drain fallback
 }
 
 // NewReader returns a Reader with the given number of datagram slots,
 // each mtu bytes. On supported platforms (Linux) batches are received
-// with one recvmmsg call; elsewhere a blocking read plus a short
+// with one recvmmsg call, and slots of at least 65535 bytes also take
+// GRO-coalesced buffers; elsewhere a blocking read plus a short
 // non-blocking drain provides the same many-per-wakeup behaviour.
 func NewReader(conn *net.UDPConn, slots, mtu int) *Reader {
 	if slots < 1 {
@@ -53,8 +69,8 @@ func NewReader(conn *net.UDPConn, slots, mtu int) *Reader {
 	r := &Reader{
 		conn:  conn,
 		bufs:  make([][]byte, slots),
-		lens:  make([]int, slots),
 		addrs: make([]netip.AddrPort, slots),
+		segs:  make([]seg, 0, slots),
 	}
 	backing := make([]byte, slots*mtu)
 	for i := range r.bufs {
@@ -64,77 +80,100 @@ func NewReader(conn *net.UDPConn, slots, mtu int) *Reader {
 	return r
 }
 
-// Slots returns the batch capacity.
+// Slots returns the batch capacity in kernel receives. With GRO on, a
+// Read may return more datagrams than this.
 func (r *Reader) Slots() int { return len(r.bufs) }
 
 // Batched reports whether the one-syscall-per-batch kernel path
 // (recvmmsg) is active, as opposed to the portable drain.
 func (r *Reader) Batched() bool { return r.mm != nil }
 
+// GRO reports whether the kernel delivers coalesced datagram runs
+// (UDP_GRO) to this Reader.
+func (r *Reader) GRO() bool { return r.mm != nil && r.mm.gro }
+
 // Read blocks until at least one datagram arrives (respecting the
 // socket read deadline), drains whatever else is already queued, and
-// returns the number of datagrams received. Errors from the wait —
-// deadline expiry, a closed socket — are returned as-is, so callers
-// dispatch on net.Error.Timeout and net.ErrClosed exactly as with
-// ReadFromUDP.
+// returns the number of datagrams received — up to Slots kernel
+// receives, each of which may be a coalesced run of several datagrams.
+// Errors from the wait — deadline expiry, a closed socket — are
+// returned as-is, so callers dispatch on net.Error.Timeout and
+// net.ErrClosed exactly as with ReadFromUDP.
 //
 //lint:hot
 func (r *Reader) Read() (int, error) {
 	if r.mm != nil {
-		return r.mm.read(r.lens, r.addrs)
+		var err error
+		r.segs, err = r.mm.read(r.addrs, r.segs)
+		return len(r.segs), err
 	}
+	r.segs = r.segs[:0]
 	n, addr, err := r.conn.ReadFromUDPAddrPort(r.bufs[0])
 	if err != nil {
 		return 0, err
 	}
-	r.lens[0], r.addrs[0] = n, addr
-	cnt := 1
+	r.addrs[0] = addr
+	r.segs = append(r.segs, seg{n: int32(n)})
 	if len(r.bufs) > 1 {
 		_ = r.conn.SetReadDeadline(time.Now().Add(drainDeadline)) //lint:allow detrand socket deadline bounding the non-blocking drain, not protocol logic
-		for cnt < len(r.bufs) {
-			n, addr, err := r.conn.ReadFromUDPAddrPort(r.bufs[cnt])
+		for i := 1; i < len(r.bufs); i++ {
+			n, addr, err := r.conn.ReadFromUDPAddrPort(r.bufs[i])
 			if err != nil {
 				break // empty queue (deadline) or a real error the next Read reports
 			}
-			r.lens[cnt], r.addrs[cnt] = n, addr
-			cnt++
+			r.addrs[i] = addr
+			r.segs = append(r.segs, seg{slot: int32(i), n: int32(n)})
 		}
 	}
-	return cnt, nil
+	return len(r.segs), nil
 }
 
 // Datagram returns the i-th received datagram of the last Read. The
 // slice aliases the Reader's slot buffer: valid until the next Read.
 //
 //lint:hot
-func (r *Reader) Datagram(i int) []byte { return r.bufs[i][:r.lens[i]] }
+func (r *Reader) Datagram(i int) []byte {
+	s := r.segs[i]
+	return r.bufs[s.slot][s.off : s.off+s.n]
+}
 
 // Addr returns the source address of the i-th datagram of the last
 // Read.
 //
 //lint:hot
-func (r *Reader) Addr(i int) netip.AddrPort { return r.addrs[i] }
+func (r *Reader) Addr(i int) netip.AddrPort { return r.addrs[r.segs[i].slot] }
 
 // A Writer transmits UDP datagrams in batches over a CONNECTED socket
 // (it uses Write semantics; destinations come from the connection).
-// On supported platforms a batch goes down in one sendmmsg call;
-// elsewhere it degrades to one write per datagram.
+// On supported platforms a batch goes down in one sendmmsg call, each
+// run of equal-size datagrams as one GSO message; elsewhere it degrades
+// to one write per datagram.
 type Writer struct {
 	conn *net.UDPConn
 	mm   *mmsgWriter
 }
 
-// NewWriter returns a Writer sending up to slots datagrams per
+// NewWriter returns a Writer sending up to slots messages per
 // syscall.
-func NewWriter(conn *net.UDPConn, slots int) *Writer {
+func NewWriter(conn *net.UDPConn, slots int) *Writer { return newWriter(conn, slots, true) }
+
+// newWriter is NewWriter with segmentation offload optional, so tests
+// can pin the plain sendmmsg path on kernels that have GSO.
+func newWriter(conn *net.UDPConn, slots int, gso bool) *Writer {
 	if slots < 1 {
 		slots = 1
 	}
-	return &Writer{conn: conn, mm: newMmsgWriter(conn, slots)}
+	return &Writer{conn: conn, mm: newMmsgWriter(conn, slots, gso)}
 }
 
 // Batched reports whether the sendmmsg kernel path is active.
 func (w *Writer) Batched() bool { return w.mm != nil }
+
+// GSO reports whether runs of equal-size datagrams go down as one
+// segmented message. It turns false for good the first time the kernel
+// refuses one (no checksum offload, xfrm, a segment above the path MTU);
+// that message and every later one are sent as single datagrams.
+func (w *Writer) GSO() bool { return w.mm != nil && w.mm.gso }
 
 // Write transmits every datagram in order, blocking (subject to the
 // socket write deadline) until all are handed to the kernel.

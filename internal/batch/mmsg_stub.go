@@ -10,17 +10,17 @@ import (
 	"net/netip"
 )
 
-type mmsgReader struct{}
+type mmsgReader struct{ gro bool }
 
 func newMmsgReader(conn *net.UDPConn, bufs [][]byte) *mmsgReader { return nil }
 
-func (m *mmsgReader) read(lens []int, addrs []netip.AddrPort) (int, error) {
+func (m *mmsgReader) read(addrs []netip.AddrPort, segs []seg) ([]seg, error) {
 	panic("batch: mmsg path on unsupported platform")
 }
 
-type mmsgWriter struct{}
+type mmsgWriter struct{ gso bool }
 
-func newMmsgWriter(conn *net.UDPConn, slots int) *mmsgWriter { return nil }
+func newMmsgWriter(conn *net.UDPConn, slots int, gso bool) *mmsgWriter { return nil }
 
 func (m *mmsgWriter) write(dgrams [][]byte) error {
 	panic("batch: mmsg path on unsupported platform")

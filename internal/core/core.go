@@ -137,12 +137,14 @@ type Config struct {
 	// readers keep multiple shards busy concurrently.
 	Readers int
 	// RecvBatch is the Serve-side receive batch width: how many
-	// datagrams one reader wakeup may ingest (recvmmsg on Linux, a
-	// deadline-bounded drain elsewhere; see internal/batch). 0 means
-	// 32. 1 selects the legacy scalar path — one ReadFromUDP per
-	// datagram — kept as the honest baseline for experiment P10. Any
-	// value yields identical protocol behavior; batching changes only
-	// how many syscalls the kernel boundary costs.
+	// kernel receives one reader wakeup may take (recvmmsg on Linux, a
+	// deadline-bounded drain elsewhere; see internal/batch), each of
+	// which may be a GRO-coalesced run of datagrams. 0 means 32. 1
+	// selects the legacy scalar path — one ReadFromUDP per datagram —
+	// kept as the honest baseline batching is measured against. On the
+	// Dial side it is the sendmmsg window. Any value yields identical
+	// protocol behavior; batching changes only how many syscalls the
+	// kernel boundary costs.
 	RecvBatch int
 	// ControlOut, when set on the Serve side, replaces the UDP reverse
 	// path: outgoing control datagrams (ACK/NACK) are handed to the

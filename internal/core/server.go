@@ -62,6 +62,7 @@ type Server struct {
 	telEstablished *telemetry.Counter
 	telExpired     *telemetry.Counter
 	telDatagrams   *telemetry.Counter
+	telWakeups     *telemetry.Counter // one per successful socket read; datagrams_in / recv_wakeups is the batch fill
 	telRejected    *telemetry.Counter
 	telRefused     *telemetry.Counter
 	telSetupErr    *telemetry.Counter
@@ -93,6 +94,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		telEstablished: sink.Counter("conns_established"),
 		telExpired:     sink.Counter("conns_expired"),
 		telDatagrams:   sink.Counter("datagrams_in"),
+		telWakeups:     sink.Counter("recv_wakeups"),
 		telRejected:    sink.Counter("conns_rejected"),
 		telRefused:     sink.Counter("conns_refused"),
 		telSetupErr:    sink.Counter("conn_setup_errors"),
@@ -234,6 +236,7 @@ func (s *Server) readLoop() {
 			continue
 		}
 		backoff = 0
+		s.telWakeups.Inc()
 		for i := 0; i < n; i++ {
 			s.ingest(br.Datagram(i), br.Addr(i), &dec)
 		}
@@ -241,8 +244,8 @@ func (s *Server) readLoop() {
 }
 
 // scalarReadLoop is the legacy one-recvfrom-per-datagram path, kept
-// under Config.RecvBatch=1 as the baseline experiment P10 measures
-// batching against.
+// under Config.RecvBatch=1 as the baseline batching is measured
+// against.
 func (s *Server) scalarReadLoop() {
 	buf := make([]byte, 65536)
 	var dec packet.Packet
@@ -257,6 +260,7 @@ func (s *Server) scalarReadLoop() {
 			continue
 		}
 		backoff = 0
+		s.telWakeups.Inc()
 		s.ingest(buf[:n], from, &dec)
 	}
 }

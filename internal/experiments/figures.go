@@ -230,9 +230,6 @@ func All(seed int64) ([]*Table, error) {
 		seeded(P1), seeded(P2), seeded(P3), seeded(P4),
 		func() (*Table, error) { return P5(seed, 2000) },
 		seeded(P6), P7, seeded(P8), seeded(P9),
-		// The index runs P10 in quick mode; `chunkbench -exp P10` runs
-		// the full sweep and writes BENCH_recv.json.
-		func() (*Table, error) { return P10(seed, true) },
 		seeded(O1),
 		seeded(Disordering),
 		// The index runs C1 in quick mode (reduced counts, pipe path
@@ -250,7 +247,7 @@ func All(seed int64) ([]*Table, error) {
 	return out, nil
 }
 
-// ByID returns the generator for one experiment id ("F1".."P10",
+// ByID returns the generator for one experiment id ("F1".."P9",
 // "T1", "O1", "NET", "C1"), or nil.
 func ByID(id string, seed int64) func() (*Table, error) {
 	switch id {
@@ -290,10 +287,6 @@ func ByID(id string, seed int64) func() (*Table, error) {
 		return func() (*Table, error) { return P8(seed) }
 	case "P9":
 		return func() (*Table, error) { return P9(seed) }
-	case "P10":
-		// Quick variant; cmd/chunkbench drives the full sweep through
-		// P10Run directly (and writes BENCH_recv.json).
-		return func() (*Table, error) { return P10(seed, true) }
 	case "O1":
 		return func() (*Table, error) { return O1(seed) }
 	case "NET":
