@@ -6,13 +6,8 @@ package chunks
 // same internal/experiments functions).
 
 import (
-	"fmt"
-	"net"
-	"sync"
 	"testing"
-	"time"
 
-	"chunks/internal/core"
 	"chunks/internal/experiments"
 	"chunks/internal/telemetry"
 	"chunks/internal/transport"
@@ -130,88 +125,6 @@ func BenchmarkO1OverlapMatrix(b *testing.B) {
 
 func BenchmarkNetsimDisordering(b *testing.B) {
 	benchTable(b, func() (*experiments.Table, error) { return experiments.Disordering(1) })
-}
-
-// C1: steady-state datagram ingestion through the sharded connection
-// engine vs the same engine pinned to one shard. Each iteration
-// establishes 2048 connections on a fresh server (untimed), then times
-// 8 concurrent injectors pushing 8192 further one-TPDU datagrams over
-// a 512-connection hot subset through Server.Inject — the in-process
-// path of experiment C1 (chunkbench -exp C1 records the full sweep).
-func BenchmarkC1ShardScaling(b *testing.B) {
-	type inj struct {
-		d    []byte
-		peer *net.UDPAddr
-	}
-	const conns, hot, steadyN = 2048, 512, 8192
-	var estab, steady []inj
-	for i := 0; i < conns; i++ {
-		var out [][]byte
-		s := transport.NewSender(transport.SenderConfig{CID: uint32(i + 1), TPDUElems: 16},
-			func(d []byte) { out = append(out, append([]byte(nil), d...)) })
-		peer := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000 + i}
-		if err := s.Write(make([]byte, 64)); err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		for _, d := range out {
-			estab = append(estab, inj{d, peer})
-		}
-		if i < hot {
-			mark := len(out)
-			for k := 0; k < steadyN/hot; k++ {
-				if err := s.Write(make([]byte, 64)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := s.Flush(); err != nil {
-				b.Fatal(err)
-			}
-			for _, d := range out[mark:] {
-				steady = append(steady, inj{d, peer})
-			}
-		}
-	}
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				srv, err := core.Serve("127.0.0.1:0", core.Config{
-					Shards:      shards,
-					IdleTimeout: 10 * time.Minute,
-					ControlOut:  func([]byte, *net.UDPAddr) {},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, e := range estab {
-					srv.Inject(e.d, e.peer)
-				}
-				if got := srv.ConnCount(); got != conns {
-					b.Fatalf("established %d conns, want %d", got, conns)
-				}
-				b.StartTimer()
-				var wg sync.WaitGroup
-				const workers = 8
-				for g := 0; g < workers; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						for j := g; j < len(steady); j += workers {
-							srv.Inject(steady[j].d, steady[j].peer)
-						}
-					}(g)
-				}
-				wg.Wait()
-				b.StopTimer()
-				srv.Shutdown()
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(len(steady)), "dgrams/op")
-		})
-	}
 }
 
 // Telemetry overhead: the same clean 64 KiB transfer through the

@@ -8,8 +8,6 @@
 //	chunkbench -exp T1         # one experiment
 //	chunkbench -exp P5 -seed 7 # with a different seed
 //	chunkbench -exp O1         # overlap matrix; also writes BENCH_overlap.json
-//	chunkbench -exp C1         # 1k→100k connection scale sweep; writes BENCH_scale.json
-//	chunkbench -exp C1 -quick  # reduced C1 sweep (CI smoke)
 package main
 
 import (
@@ -25,9 +23,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (F1..F7, T1, B1, P1..P9, O1, NET, C1) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (F1..F7, T1, B1, P1..P9, O1, NET) or 'all'")
 	seed := flag.Int64("seed", 1, "deterministic seed for randomized workloads")
-	quick := flag.Bool("quick", false, "reduced C1 sweep (CI smoke); BENCH_scale.json is still written on -exp C1")
 	flag.Parse()
 
 	var tables []*experiments.Table
@@ -37,17 +34,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	} else if strings.ToUpper(*exp) == "C1" {
-		// C1 is driven through C1Run so the raw sweep lands in
-		// BENCH_scale.json; -exp C1 is the one way to (re)write it.
-		tb, res, err := experiments.C1Run(*seed, *quick)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeScaleTrajectory(res); err != nil {
-			log.Fatal(err)
-		}
-		tables = []*experiments.Table{tb}
 	} else {
 		gen := experiments.ByID(strings.ToUpper(*exp), *seed)
 		if gen == nil {
@@ -86,20 +72,5 @@ func writeOverlapTrajectory(seed int64) error {
 		return err
 	}
 	fmt.Fprintln(os.Stderr, "wrote BENCH_overlap.json")
-	return nil
-}
-
-// writeScaleTrajectory records the raw C1 sweep (every transport ×
-// mode × count cell) as BENCH_scale.json, the scale trajectory later
-// PRs diff against.
-func writeScaleTrajectory(res *experiments.ScaleResult) error {
-	b, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_scale.json", append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "wrote BENCH_scale.json")
 	return nil
 }

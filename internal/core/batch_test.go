@@ -132,37 +132,32 @@ func TestBatchDeterminism(t *testing.T) {
 // error handling: a socket that fails permanently (closed underneath
 // the server) must count recv_sock_err and END the reader goroutines
 // rather than spinning on the dead descriptor, and Shutdown must still
-// return promptly afterwards. Covers the scalar and batched loops.
+// return promptly afterwards.
 func TestReadLoopClosedSocket(t *testing.T) {
-	for _, recvBatch := range []int{1, 32} {
-		t.Run(fmt.Sprintf("recvBatch=%d", recvBatch), func(t *testing.T) {
-			reg := telemetry.New(0)
-			srv, err := Serve("127.0.0.1:0", Config{
-				Telemetry: reg,
-				Readers:   2,
-				RecvBatch: recvBatch,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_ = srv.sock.Close()
+	reg := telemetry.New(0)
+	srv, err := Serve("127.0.0.1:0", Config{
+		Telemetry: reg,
+		Readers:   2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = srv.sock.Close()
 
-			deadline := time.Now().Add(5 * time.Second)
-			for reg.Snapshot().Scopes["server"].Counters["recv_sock_err"] < 2 {
-				if time.Now().After(deadline) {
-					t.Fatalf("readers did not observe the closed socket; recv_sock_err=%d",
-						reg.Snapshot().Scopes["server"].Counters["recv_sock_err"])
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Snapshot().Scopes["server"].Counters["recv_sock_err"] < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("readers did not observe the closed socket; recv_sock_err=%d",
+				reg.Snapshot().Scopes["server"].Counters["recv_sock_err"])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
-			done := make(chan struct{})
-			go func() { srv.Shutdown(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(5 * time.Second):
-				t.Fatal("Shutdown hung after the socket was closed")
-			}
-		})
+	done := make(chan struct{})
+	go func() { srv.Shutdown(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown hung after the socket was closed")
 	}
 }

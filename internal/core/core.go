@@ -115,7 +115,7 @@ type Config struct {
 	// PerConnTelemetry opts the Serve side into one telemetry scope per
 	// peer connection instead of the per-shard aggregates. Scope count
 	// then grows with the connection count — useful for debugging, a
-	// memory leak at hundreds of thousands of connections (see C1).
+	// memory leak at hundreds of thousands of connections.
 	PerConnTelemetry bool
 
 	// Shards is the Serve-side shard count for the connection engine
@@ -136,23 +136,13 @@ type Config struct {
 	// Serve side; 0 means 1. Useful with Shards > 1: independent
 	// readers keep multiple shards busy concurrently.
 	Readers int
-	// RecvBatch is the Serve-side receive batch width: how many
-	// kernel receives one reader wakeup may take (recvmmsg on Linux, a
-	// deadline-bounded drain elsewhere; see internal/batch), each of
-	// which may be a GRO-coalesced run of datagrams. 0 means 32. 1
-	// selects the legacy scalar path — one ReadFromUDP per datagram —
-	// kept as the honest baseline batching is measured against. On the
-	// Dial side it is the sendmmsg window. Any value yields identical
-	// protocol behavior; batching changes only how many syscalls the
-	// kernel boundary costs.
-	RecvBatch int
 	// ControlOut, when set on the Serve side, replaces the UDP reverse
 	// path: outgoing control datagrams (ACK/NACK) are handed to the
-	// callback instead of the socket. In-process harnesses (experiment
-	// C1) pair it with Server.Inject to drive the engine without
-	// socket I/O. The datagram is valid only for the duration of the
-	// call — its buffer is recycled when the callback returns — so a
-	// callback that keeps it must copy it.
+	// callback instead of the socket. In-process harnesses pair it
+	// with Server.Inject to drive the engine without socket I/O. The
+	// datagram is valid only for the duration of the call — its buffer
+	// is recycled when the callback returns — so a callback that keeps
+	// it must copy it.
 	ControlOut func(datagram []byte, peer *net.UDPAddr)
 }
 
@@ -177,12 +167,14 @@ func (c *Config) fill() {
 	} else if c.ReapAfter < 0 {
 		c.ReapAfter = 0
 	}
-	if c.RecvBatch == 0 {
-		c.RecvBatch = 32
-	} else if c.RecvBatch < 1 {
-		c.RecvBatch = 1
-	}
 }
+
+// batchWidth is how many messages one Conn send syscall or one Server
+// reader wakeup may carry (sendmmsg/recvmmsg on Linux, a
+// deadline-bounded drain elsewhere; see internal/batch). Each message
+// may be a GSO/GRO run of datagrams. The width changes only how many
+// syscalls the kernel boundary costs, never protocol behavior.
+const batchWidth = 32
 
 // ErrTimeout reports that WaitDrained/WaitClosed gave up.
 var ErrTimeout = errors.New("core: wait timed out")
@@ -239,7 +231,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 		telUnacked: sink.Gauge("tpdus_unacked"),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.bw = batch.NewWriter(sock, cfg.RecvBatch)
+	c.bw = batch.NewWriter(sock, batchWidth)
 	c.s = transport.NewSender(transport.SenderConfig{
 		CID: cfg.CID, MTU: cfg.MTU, ElemSize: cfg.ElemSize,
 		TPDUElems: cfg.TPDUElems, Adapt: cfg.Adapt,

@@ -211,11 +211,7 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 
 func (s *Server) readLoop() {
 	defer s.wg.Done()
-	if s.cfg.RecvBatch <= 1 {
-		s.scalarReadLoop()
-		return
-	}
-	br := batch.NewReader(s.sock, s.cfg.RecvBatch, 65536)
+	br := batch.NewReader(s.sock, batchWidth, 65536)
 	var dec packet.Packet
 	var backoff time.Duration
 	for {
@@ -226,8 +222,8 @@ func (s *Server) readLoop() {
 		}
 		// On the kernel path no deadline is armed at all: Shutdown
 		// closes the socket, which wakes the blocked read with
-		// net.ErrClosed. That keeps the steady wakeup free of the
-		// per-wakeup timer reset the legacy loop pays per datagram.
+		// net.ErrClosed. That keeps the steady wakeup free of a
+		// per-wakeup timer reset.
 		n, err := br.Read()
 		if err != nil {
 			if !s.recvErr(err, &backoff) {
@@ -240,28 +236,6 @@ func (s *Server) readLoop() {
 		for i := 0; i < n; i++ {
 			s.ingest(br.Datagram(i), br.Addr(i), &dec)
 		}
-	}
-}
-
-// scalarReadLoop is the legacy one-recvfrom-per-datagram path, kept
-// under Config.RecvBatch=1 as the baseline batching is measured
-// against.
-func (s *Server) scalarReadLoop() {
-	buf := make([]byte, 65536)
-	var dec packet.Packet
-	var backoff time.Duration
-	for {
-		_ = s.sock.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //lint:allow detrand socket read deadline: I/O pacing, not protocol state
-		n, from, err := s.sock.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			if !s.recvErr(err, &backoff) {
-				return
-			}
-			continue
-		}
-		backoff = 0
-		s.telWakeups.Inc()
-		s.ingest(buf[:n], from, &dec)
 	}
 }
 
@@ -311,8 +285,9 @@ func (s *Server) recvErr(err error, backoff *time.Duration) bool {
 // from the given source — the in-process ("pipe") ingestion path.
 // Safe for concurrent callers: each chunk is routed to its (C.ID,
 // source) connection's shard, and only that shard's lock is taken.
-// Experiment C1 and tests drive the sharded engine through Inject
-// without socket I/O; Config.ControlOut captures the reverse path.
+// Tests and the benchmark's conn_scale workload drive the sharded
+// engine through Inject/InjectBatch without socket I/O;
+// Config.ControlOut captures the reverse path.
 func (s *Server) Inject(datagram []byte, from *net.UDPAddr) {
 	var dec packet.Packet
 	s.ingest(datagram, from.AddrPort(), &dec)
@@ -330,7 +305,7 @@ func (s *Server) InjectBatch(dgrams [][]byte, froms []netip.AddrPort) {
 }
 
 // ingest decodes one datagram into the caller's scratch and routes its
-// chunks: the one ingestion path of both read loops, Inject and
+// chunks: the one ingestion path of the read loop, Inject and
 // InjectBatch. The connection-table key is the "ip:port" text
 // (*net.UDPAddr).String() reports for the source, IPv4-mapped sources
 // unmapped. It is formatted into a stack buffer and route does not let

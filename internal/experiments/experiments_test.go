@@ -16,7 +16,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantIDs := []string{"F1", "F2", "F3", "F4", "F5", "F6", "F7", "T1", "B1",
-		"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "O1", "NET", "C1"}
+		"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "O1", "NET"}
 	if len(tables) != len(wantIDs) {
 		t.Fatalf("%d tables, want %d", len(tables), len(wantIDs))
 	}
@@ -236,38 +236,6 @@ func TestO1Shape(t *testing.T) {
 	}
 	if sum.DisagreeSchedules < 1 {
 		t.Fatal("modeled OS stacks never disagree")
-	}
-}
-
-// TestC1Shape runs the quick sweep and checks its structure: both
-// engine modes at every connection count, sane positive rates, and an
-// idle-memory column that is measured on every pipe row.
-func TestC1Shape(t *testing.T) {
-	tb, res, err := C1Run(37, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != len(res.Rows) {
-		t.Fatalf("table rows %d != result rows %d", len(tb.Rows), len(res.Rows))
-	}
-	byMode := map[string]int{}
-	for _, r := range res.Rows {
-		byMode[r.Mode]++
-		if r.EstabPerSec <= 0 || r.DgramsPerSec <= 0 {
-			t.Errorf("%s/%s/%d: non-positive rates %v %v", r.Transport, r.Mode, r.Conns, r.EstabPerSec, r.DgramsPerSec)
-		}
-		if r.Transport == "pipe" && r.BytesPerConn <= 0 {
-			t.Errorf("%s/%d: idle memory not measured", r.Mode, r.Conns)
-		}
-		if r.AckP99Micros < r.AckP50Micros {
-			t.Errorf("%s/%s/%d: p99 %v below p50 %v", r.Transport, r.Mode, r.Conns, r.AckP99Micros, r.AckP50Micros)
-		}
-	}
-	if byMode["sharded"] != 2 || byMode["shards=1"] != 2 {
-		t.Fatalf("quick sweep modes: %v, want 2 counts × both engine modes", byMode)
-	}
-	if byMode["shards=1+perconn-tel"] != 1 {
-		t.Fatalf("missing the pre-PR per-conn-telemetry memory row: %v", byMode)
 	}
 }
 

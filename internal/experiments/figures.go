@@ -232,9 +232,6 @@ func All(seed int64) ([]*Table, error) {
 		seeded(P6), P7, seeded(P8), seeded(P9),
 		seeded(O1),
 		seeded(Disordering),
-		// The index runs C1 in quick mode (reduced counts, pipe path
-		// only); `chunkbench -exp C1` runs the full 1k→100k sweep.
-		func() (*Table, error) { return C1(seed, true) },
 	}
 	var out []*Table
 	for _, g := range gens {
@@ -248,7 +245,7 @@ func All(seed int64) ([]*Table, error) {
 }
 
 // ByID returns the generator for one experiment id ("F1".."P9",
-// "T1", "O1", "NET", "C1"), or nil.
+// "T1", "O1", "NET"), or nil.
 func ByID(id string, seed int64) func() (*Table, error) {
 	switch id {
 	case "F1":
@@ -291,10 +288,6 @@ func ByID(id string, seed int64) func() (*Table, error) {
 		return func() (*Table, error) { return O1(seed) }
 	case "NET":
 		return func() (*Table, error) { return Disordering(seed) }
-	case "C1":
-		// Quick variant; cmd/chunkbench drives the full sweep through
-		// C1Run directly (and writes BENCH_scale.json).
-		return func() (*Table, error) { return C1(seed, true) }
 	}
 	return nil
 }

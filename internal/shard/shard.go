@@ -10,7 +10,7 @@
 // processed to completion while touching only K's shard. Steady-state
 // datagram handling therefore takes exactly one shard lock and no
 // cross-shard state, so throughput scales with shards until the
-// hardware runs out of cores (experiment C1).
+// hardware runs out of cores (the benchmark's conn_scale workload).
 //
 // Determinism: shard assignment is a pure hash of the key, ticks are
 // counted (never read from a clock), and every cross-shard aggregate
