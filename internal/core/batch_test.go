@@ -132,32 +132,35 @@ func TestBatchDeterminism(t *testing.T) {
 // error handling: a socket that fails permanently (closed underneath
 // the server) must count recv_sock_err and END the reader goroutines
 // rather than spinning on the dead descriptor, and Shutdown must still
-// return promptly afterwards.
+// return promptly afterwards. The subtest names the read loop's batch
+// width.
 func TestReadLoopClosedSocket(t *testing.T) {
-	reg := telemetry.New(0)
-	srv, err := Serve("127.0.0.1:0", Config{
-		Telemetry: reg,
-		Readers:   2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = srv.sock.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Scopes["server"].Counters["recv_sock_err"] < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("readers did not observe the closed socket; recv_sock_err=%d",
-				reg.Snapshot().Scopes["server"].Counters["recv_sock_err"])
+	t.Run(fmt.Sprintf("recvBatch=%d", batchWidth), func(t *testing.T) {
+		reg := telemetry.New(0)
+		srv, err := Serve("127.0.0.1:0", Config{
+			Telemetry: reg,
+			Readers:   2,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		_ = srv.sock.Close()
 
-	done := make(chan struct{})
-	go func() { srv.Shutdown(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Shutdown hung after the socket was closed")
-	}
+		deadline := time.Now().Add(5 * time.Second)
+		for reg.Snapshot().Scopes["server"].Counters["recv_sock_err"] < 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("readers did not observe the closed socket; recv_sock_err=%d",
+					reg.Snapshot().Scopes["server"].Counters["recv_sock_err"])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		done := make(chan struct{})
+		go func() { srv.Shutdown(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Shutdown hung after the socket was closed")
+		}
+	})
 }
