@@ -138,8 +138,12 @@ type Config struct {
 	Readers int
 	// ControlOut, when set on the Serve side, replaces the UDP reverse
 	// path: outgoing control datagrams (ACK/NACK) are handed to the
-	// callback instead of the socket. In-process harnesses pair it
-	// with Server.Inject to drive the engine without socket I/O. The
+	// callback instead of the socket. From the read loop it is called
+	// once per envelope at the end of each receive batch, and an
+	// envelope may carry several control chunks of one connection;
+	// Inject and InjectBatch still call it once per control datagram,
+	// as it is produced. In-process harnesses pair it with
+	// Server.Inject to drive the engine without socket I/O. The
 	// datagram is valid only for the duration of the call — its buffer
 	// is recycled when the callback returns — so a callback that keeps
 	// it must copy it.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
@@ -24,6 +25,49 @@ type serverConn struct {
 	r    *transport.Receiver
 	peer *net.UDPAddr // control destination, bound at establishment
 	cid  uint32
+	// q is the control queue of the read loop routing this
+	// connection's current chunk run, nil outside one (Inject,
+	// InjectBatch, tick-loop polls), where control is sent at once.
+	// Set and cleared under the connection's shard lock.
+	q *ctrlQueue
+}
+
+// envLenOff is the offset of the envelope's total-length field: the
+// last two bytes of the packet header.
+const envLenOff = packet.HeaderSize - 2
+
+// A ctrlQueue holds the control envelopes one read-loop batch produced
+// until the batch ends — Appendix A's acknowledgments that "ride in any
+// packet", bounded to the batch that produced them. A datagram for the
+// same connection as the last envelope merges into it while the result
+// fits the MTU. Envelopes of different connections never merge: a
+// client's sender does not check an ACK's C.ID, so a socket must only
+// ever see its own connection's chunks.
+type ctrlQueue struct {
+	mtu    int
+	dgrams [][]byte
+	conns  []*serverConn // conns[i] is dgrams[i]'s connection
+}
+
+// add queues control datagram d for c. d is a compact envelope from the
+// receiver's packer — header then chunks, no padding or terminator —
+// in a pool buffer of MTU capacity, so a merge appends its chunk bytes
+// in place, rewrites the length field and recycles d.
+//
+//lint:hot
+func (q *ctrlQueue) add(c *serverConn, d []byte) {
+	if n := len(q.dgrams); n > 0 && q.conns[n-1] == c {
+		last := q.dgrams[n-1]
+		if len(last)+len(d)-packet.HeaderSize <= q.mtu {
+			last = append(last, d[packet.HeaderSize:]...)
+			binary.BigEndian.PutUint16(last[envLenOff:packet.HeaderSize], uint16(len(last)))
+			q.dgrams[n-1] = last
+			c.r.Recycle(d)
+			return
+		}
+	}
+	q.dgrams = append(q.dgrams, d)
+	q.conns = append(q.conns, c)
 }
 
 // A Server is the receiving end of chunk connections over UDP. It
@@ -67,6 +111,7 @@ type Server struct {
 	telRefused     *telemetry.Counter
 	telSetupErr    *telemetry.Counter
 	telSockErr     *telemetry.Counter
+	telControlOut  *telemetry.Counter // control envelopes the read loops sent, added once per flush
 	telLive        *telemetry.Gauge
 	telRing        *telemetry.Ring
 }
@@ -99,6 +144,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		telRefused:     sink.Counter("conns_refused"),
 		telSetupErr:    sink.Counter("conn_setup_errors"),
 		telSockErr:     sink.Counter("recv_sock_err"),
+		telControlOut:  sink.Counter("control_out"),
 		telLive:        sink.Gauge("conns_live"),
 		telRing:        sink.Ring,
 	}
@@ -170,20 +216,17 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 		} else {
 			cfg.Tel = s.shardSinks[s.eng.ShardIndex(key)]
 		}
-		// The out callback captures the ESTABLISHMENT address: control
-		// always goes there, no matter who sent the datagram that
-		// triggered it. The datagram buffer goes back into the
-		// receiver's packer pool once the kernel, or ControlOut, is done
-		// with it (ControlOut must not retain it).
+		// Control always goes to the ESTABLISHMENT address, no matter
+		// who sent the datagram that triggered it. Inside a read-loop
+		// batch it waits in the loop's queue; anywhere else it is sent
+		// at once.
 		sc := &serverConn{peer: peer, cid: key.CID}
-		co := s.cfg.ControlOut
 		out := func(d []byte) {
-			if co != nil {
-				co(d, peer)
-			} else {
-				_, _ = s.sock.WriteToUDP(d, peer)
+			if sc.q != nil {
+				sc.q.add(sc, d)
+				return
 			}
-			sc.r.Recycle(d)
+			s.sendControl(sc, d)
 		}
 		r, err := transport.NewReceiver(cfg, out)
 		if err != nil {
@@ -213,6 +256,7 @@ func (s *Server) readLoop() {
 	defer s.wg.Done()
 	br := batch.NewReader(s.sock, batchWidth, 65536)
 	var dec packet.Packet
+	q := &ctrlQueue{mtu: s.cfg.MTU}
 	var backoff time.Duration
 	for {
 		if !br.Batched() {
@@ -234,9 +278,37 @@ func (s *Server) readLoop() {
 		backoff = 0
 		s.telWakeups.Inc()
 		for i := 0; i < n; i++ {
-			s.ingest(br.Datagram(i), br.Addr(i), &dec)
+			s.ingest(br.Datagram(i), br.Addr(i), &dec, q)
 		}
+		s.flushControl(q)
 	}
+}
+
+// sendControl hands one control envelope to ControlOut or the socket,
+// then recycles its buffer into the receivers' packer pool
+// (ControlOut must not retain it).
+//
+//lint:hot
+func (s *Server) sendControl(c *serverConn, d []byte) {
+	if co := s.cfg.ControlOut; co != nil {
+		co(d, c.peer)
+	} else {
+		_, _ = s.sock.WriteToUDP(d, c.peer)
+	}
+	c.r.Recycle(d)
+}
+
+// flushControl sends every envelope a read-loop batch queued, one send
+// each, and empties the queue: no control chunk outlives its batch.
+//
+//lint:hot
+func (s *Server) flushControl(q *ctrlQueue) {
+	for i, d := range q.dgrams {
+		s.sendControl(q.conns[i], d)
+		q.dgrams[i], q.conns[i] = nil, nil
+	}
+	s.telControlOut.Add(int64(len(q.dgrams)))
+	q.dgrams, q.conns = q.dgrams[:0], q.conns[:0]
 }
 
 // recvErr classifies a read-loop socket error. Deadline expiry is the
@@ -290,7 +362,7 @@ func (s *Server) recvErr(err error, backoff *time.Duration) bool {
 // Config.ControlOut captures the reverse path.
 func (s *Server) Inject(datagram []byte, from *net.UDPAddr) {
 	var dec packet.Packet
-	s.ingest(datagram, from.AddrPort(), &dec)
+	s.ingest(datagram, from.AddrPort(), &dec, nil)
 }
 
 // InjectBatch ingests a burst of datagrams sharing one decode scratch —
@@ -300,26 +372,27 @@ func (s *Server) Inject(datagram []byte, from *net.UDPAddr) {
 func (s *Server) InjectBatch(dgrams [][]byte, froms []netip.AddrPort) {
 	var dec packet.Packet
 	for i := range dgrams {
-		s.ingest(dgrams[i], froms[i], &dec)
+		s.ingest(dgrams[i], froms[i], &dec, nil)
 	}
 }
 
 // ingest decodes one datagram into the caller's scratch and routes its
 // chunks: the one ingestion path of the read loop, Inject and
-// InjectBatch. The connection-table key is the "ip:port" text
+// InjectBatch. Control the chunks provoke goes into q, or out at once
+// when q is nil. The connection-table key is the "ip:port" text
 // (*net.UDPAddr).String() reports for the source, IPv4-mapped sources
 // unmapped. It is formatted into a stack buffer and route does not let
 // it escape, so ingestion of a known peer's datagram allocates nothing
 // before the shard lock; only text past the runtime's 32-byte
 // conversion buffer (long IPv6 sources) reaches the heap.
-func (s *Server) ingest(datagram []byte, from netip.AddrPort, dec *packet.Packet) {
+func (s *Server) ingest(datagram []byte, from netip.AddrPort, dec *packet.Packet, q *ctrlQueue) {
 	if packet.DecodeInto(datagram, dec) != nil {
 		return // not a chunk packet; ignore
 	}
 	s.telDatagrams.Inc()
 	var buf [64]byte
 	key := netip.AddrPortFrom(from.Addr().Unmap(), from.Port()).AppendTo(buf[:0])
-	s.route(dec, string(key), from)
+	s.route(dec, string(key), from, q)
 }
 
 // connEvent defers a connection-lifecycle callback until the shard
@@ -333,7 +406,8 @@ type connEvent struct {
 // route walks one decoded packet's chunks into their (C.ID, source)
 // connections. addr is the connection-table key for from; it must not
 // escape (ingest builds it on the stack), so establishment clones it.
-func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort) {
+// Each connection's control goes to q for the run it handles.
+func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort, q *ctrlQueue) {
 	var events []connEvent
 
 	// Route each chunk to the (C.ID, source) connection. Packets are
@@ -366,6 +440,7 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort) {
 				continue
 			}
 		}
+		c.q = q
 		for ; i < j; i++ {
 			if err := c.r.HandleChunk(&p.Chunks[i]); errors.Is(err, transport.ErrConnectionRejected) {
 				// The vr.RejectConnection overlap policy tripped: tear
@@ -383,6 +458,7 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort) {
 				break
 			}
 		}
+		c.q = nil
 		if (!dropped || cid != droppedCID) && c.r.NeedsPoll() {
 			sh.ArmPoll(key)
 		}

@@ -1,7 +1,7 @@
 // Package integration holds cross-module end-to-end tests: workloads
 // from trace, packed by packet, carried by netsim (with loss,
 // duplication, corruption, multipath skew and route flaps), verified
-// by errdet, demultiplexed by mux, placed by ilp. These are the
+// by errdet, demultiplexed by C.ID, placed by ilp. These are the
 // "would a downstream user trust it" tests.
 package integration
 
@@ -13,7 +13,6 @@ import (
 	"chunks/internal/chunk"
 	"chunks/internal/errdet"
 	"chunks/internal/ilp"
-	"chunks/internal/mux"
 	"chunks/internal/netsim"
 	"chunks/internal/packet"
 	"chunks/internal/trace"
@@ -189,9 +188,10 @@ func TestGatewayChainWithRouteFlap(t *testing.T) {
 	}
 }
 
-// TestMuxedConnectionsOverLossyNet: two connections share packets via
-// mux across a lossy link; per-connection verdicts remain correct and
-// isolated.
+// TestMuxedConnectionsOverLossyNet: two connections share packets
+// (Appendix A) across a lossy link; per-connection verdicts remain
+// correct and isolated. The receive side demultiplexes on C.ID alone,
+// and a chunk of any other connection fails the test.
 func TestMuxedConnectionsOverLossyNet(t *testing.T) {
 	w1, err := trace.Bulk(trace.BulkConfig{Seed: 21, Bytes: 32 * 1024, ElemSize: 4, TPDUElems: 256, CID: 1})
 	if err != nil {
@@ -201,17 +201,18 @@ func TestMuxedConnectionsOverLossyNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mux.NewMux(512)
+	var mixed []chunk.Chunk
 	c1, c2 := w1.All(), w2.All()
 	for i := 0; i < len(c1) || i < len(c2); i++ {
 		if i < len(c1) {
-			m.Enqueue(c1[i])
+			mixed = append(mixed, c1[i])
 		}
 		if i < len(c2) {
-			m.Enqueue(c2[i])
+			mixed = append(mixed, c2[i])
 		}
 	}
-	datagrams, err := m.Flush()
+	pk := packet.Packer{MTU: 512}
+	datagrams, err := pk.Encode(mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +221,34 @@ func TestMuxedConnectionsOverLossyNet(t *testing.T) {
 
 	r1, _ := errdet.NewReceiver(errdet.DefaultLayout())
 	r2, _ := errdet.NewReceiver(errdet.DefaultLayout())
-	d := mux.NewDemux()
-	d.Register(1, r1.Ingest)
-	d.Register(2, r2.Ingest)
+	shared := 0
 	for _, dv := range deliveries {
-		if err := d.HandlePacket(dv.Data); err != nil {
+		p, err := packet.Decode(dv.Data)
+		if err != nil {
 			t.Fatal(err)
 		}
+		cids := map[uint32]bool{}
+		for i := range p.Chunks {
+			c := &p.Chunks[i]
+			cids[c.C.ID] = true
+			switch c.C.ID {
+			case 1:
+				err = r1.Ingest(c)
+			case 2:
+				err = r2.Ingest(c)
+			default:
+				t.Fatalf("chunk of unknown connection %d", c.C.ID)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(cids) > 1 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no packet carried chunks of both connections")
 	}
 	// With 2% loss most TPDUs verify; NONE may verify wrongly and
 	// cross-connection contamination must be impossible.
