@@ -6,9 +6,11 @@
 // With check names as arguments only those checks run (plus directive
 // hygiene); by default the whole suite runs. -C selects the module
 // root (default: the module containing the working directory). -stats
-// prints per-check finding and suppression counts and enforces the
-// pinned //lint:allow budget (lint.AllowBudget): a drifted count is a
-// finding, so suppressions cannot accrete without a reviewed bump.
+// prints per-check finding and suppression counts to stderr and
+// enforces the pinned //lint:allow budget (lint.AllowBudget): a drifted
+// count is a finding, so suppressions cannot accrete without a reviewed
+// bump. Stdout stays the findings alone, so `chunklint -json -stats >
+// report.json` gates findings and budget in one run.
 package main
 
 import (
@@ -17,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"chunks/internal/lint"
 )
@@ -92,38 +93,18 @@ func main() {
 	}
 }
 
-// printStats writes the per-check finding/suppression table in check
-// order (suite order, then any extra keys sorted) so output is stable.
+// printStats writes the per-check finding/suppression table to stderr
+// in suite order ("lint" hygiene first), so stdout stays the findings.
 func printStats(checks []lint.Check, st lint.Stats) {
-	names := []string{"lint"}
+	row := func(name string) {
+		fmt.Fprintf(os.Stderr, "%-12s %9d %10d\n", name, st.Findings[name], st.Suppressed[name])
+	}
+	fmt.Fprintf(os.Stderr, "%-12s %9s %10s\n", "check", "findings", "suppressed")
+	row("lint")
 	for _, c := range checks {
-		names = append(names, c.Name())
+		row(c.Name())
 	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		seen[n] = true
-	}
-	var extra []string
-	for n := range st.Findings {
-		if !seen[n] {
-			seen[n] = true
-			extra = append(extra, n)
-		}
-	}
-	for n := range st.Suppressed {
-		if !seen[n] {
-			seen[n] = true
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	names = append(names, extra...)
-
-	fmt.Printf("%-12s %9s %10s\n", "check", "findings", "suppressed")
-	for _, n := range names {
-		fmt.Printf("%-12s %9d %10d\n", n, st.Findings[n], st.Suppressed[n])
-	}
-	fmt.Printf("total //lint:allow directives: %d (budget %d)\n", st.Allows, lint.AllowBudget)
+	fmt.Fprintf(os.Stderr, "total //lint:allow directives: %d (budget %d)\n", st.Allows, lint.AllowBudget)
 }
 
 func findModuleRoot() (string, error) {

@@ -305,7 +305,7 @@ func (p *pipe) flushLocked() {
 		}
 	}
 	p.rng.Shuffle(len(p.window), func(i, j int) {
-		//lint:allow locked synchronous swap callback: runs inline under the p.mu held by flushLocked's callers
+		// Synchronous swap callback: runs inline under the p.mu held by flushLocked's callers.
 		p.window[i], p.window[j] = p.window[j], p.window[i]
 	})
 	for i, h := range p.window {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net"
 	"sort"
 	"strings"
 	"testing"
@@ -388,5 +389,43 @@ func TestSpoofedSourceIsolatedThroughRelay(t *testing.T) {
 	}
 	if got := srv.StreamOf(21, backs[0].String()); !bytes.Equal(got, data) {
 		t.Fatal("real connection's stream corrupted by spoofing")
+	}
+}
+
+// TestBackAddrsDuringSessionSetup polls BackAddrs while the relay's
+// front loop establishes one session per client source, one client at
+// a time. The session table is guarded by the relay's mutex; under
+// -race this is the test that sees a dropped lock.
+func TestBackAddrsDuringSessionSetup(t *testing.T) {
+	target, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer target.Close()
+	relay, err := chaos.NewRelay(target.LocalAddr().String(), chaos.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+
+	const clients = 16
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < clients; i++ {
+		c, err := net.DialUDP("udp", nil, relay.Addr().(*net.UDPAddr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for polls := 0; len(relay.BackAddrs()) <= i; polls++ {
+			if polls%1000 == 0 { // resend now and then: loopback may drop
+				if time.Now().After(deadline) {
+					t.Fatalf("relay has %d sessions, want %d", len(relay.BackAddrs()), i+1)
+				}
+				_, _ = c.Write([]byte{0})
+			}
+		}
+	}
+	if got := len(relay.BackAddrs()); got != clients {
+		t.Fatalf("relay has %d sessions, want %d", got, clients)
 	}
 }

@@ -246,7 +246,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 		// Defer the actual send: one sender operation may emit a burst
 		// of datagrams (a whole TPDU, a retransmission round), and the
 		// flush pushes them down in one sendmmsg where available.
-		c.pending = append(c.pending, d) //lint:allow locked sender emits only inside c.s operations, all of which run under c.mu
+		c.pending = append(c.pending, d)
 	})
 
 	// Control read loop: ACKs and NACKs from the receiver.

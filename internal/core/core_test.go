@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -181,4 +182,61 @@ func TestShutdownIdempotent(t *testing.T) {
 	}
 	conn.Shutdown()
 	conn.Shutdown()
+}
+
+// TestConnAccessorsDuringWrite reads Unacked, Stats and SRTT, one
+// goroutine each, while Write and the control loop change the sender.
+// The sender state is guarded by the connection's mutex; under -race
+// this is the test that sees a dropped lock in an accessor.
+func TestConnAccessorsDuringWrite(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	conn, err := Dial(srv.Addr().String(), Config{CID: 9, TPDUElems: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Shutdown()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, read := range []func(){
+		func() { _ = conn.Unacked() },
+		func() { _, _ = conn.Stats() },
+		func() { _ = conn.SRTT() },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					read()
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	data := testData(512*1024, 9)
+	for off := 0; off < len(data) && err == nil; off += 1024 {
+		err = conn.Write(data[off : off+1024])
+	}
+	if err == nil {
+		err = conn.Close()
+	}
+	if err == nil {
+		err = conn.WaitDrained(10 * time.Second)
+	}
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent, _ := conn.Stats(); sent == 0 {
+		t.Fatal("no TPDUs sent")
+	}
 }

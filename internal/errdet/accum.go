@@ -21,7 +21,7 @@ func (l Layout) addData(acc *wsc.Accumulator, c *chunk.Chunk, lo, hi uint64) err
 	}
 	spe := SymbolsPerElement(c.Size)
 	if hi*spe > l.DataSymbols {
-		return fmt.Errorf("%w: elements [%d,%d) of size %d", ErrLayout, lo, hi, c.Size) //lint:allow hotalloc cold error path: fmt boxes its operands
+		return fmt.Errorf("%w: elements [%d,%d) of size %d", ErrLayout, lo, hi, c.Size)
 	}
 	off := int(lo-c.T.SN) * int(c.Size)
 	if c.Size%wsc.SymbolSize == 0 {
@@ -62,7 +62,7 @@ func (l Layout) addRaw(acc *wsc.Accumulator, sn uint64, size uint16, data []byte
 	n := uint64(len(data)) / uint64(size)
 	spe := SymbolsPerElement(size)
 	if (sn+n)*spe > l.DataSymbols {
-		return fmt.Errorf("%w: elements [%d,%d) of size %d", ErrLayout, sn, sn+n, size) //lint:allow hotalloc cold error path: fmt boxes its operands
+		return fmt.Errorf("%w: elements [%d,%d) of size %d", ErrLayout, sn, sn+n, size)
 	}
 	if size%wsc.SymbolSize == 0 {
 		return acc.AddBytes(sn*spe, data)
@@ -147,10 +147,10 @@ func Encode(layout Layout, chs []chunk.Chunk) (wsc.Parity, error) {
 	for i := range chs {
 		c := &chs[i]
 		if c.Type != chunk.TypeData {
-			return wsc.Parity{}, fmt.Errorf("errdet: chunk %d is %v, want data", i, c.Type) //lint:allow hotalloc cold error path: fmt boxes its operands
+			return wsc.Parity{}, fmt.Errorf("errdet: chunk %d is %v, want data", i, c.Type)
 		}
 		if c.T.ID != tid || c.C.ID != cid {
-			return wsc.Parity{}, fmt.Errorf("errdet: chunk %d belongs to a different PDU", i) //lint:allow hotalloc cold error path: fmt boxes its operands
+			return wsc.Parity{}, fmt.Errorf("errdet: chunk %d belongs to a different PDU", i)
 		}
 		lo, hi := c.T.SN, c.T.SN+uint64(c.Len)
 		if sorted && (i == 0 || lo >= prevHi) {
@@ -166,7 +166,7 @@ func Encode(layout Layout, chs []chunk.Chunk) (wsc.Parity, error) {
 				}
 			}
 			if fresh = seen.AddTo(fresh[:0], lo, hi); len(fresh) != 1 || fresh[0] != (vr.Interval{Lo: lo, Hi: hi}) {
-				return wsc.Parity{}, fmt.Errorf("errdet: chunk %d overlaps another chunk", i) //lint:allow hotalloc cold error path: fmt boxes its operands
+				return wsc.Parity{}, fmt.Errorf("errdet: chunk %d overlaps another chunk", i)
 			}
 		}
 		if err := layout.addData(&acc, c, lo, hi); err != nil {

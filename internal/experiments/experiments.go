@@ -163,9 +163,9 @@ func P2(seed int64) (*Table, error) {
 			pieces = next
 		}
 		rng.Shuffle(len(pieces), func(i, j int) { pieces[i], pieces[j] = pieces[j], pieces[i] })
-		start := time.Now() //lint:allow detrand measured timing column of the experiment table
+		elapsed := stopwatch()
 		merged := chunk.MergeAll(pieces)
-		chunkNS := time.Since(start) //lint:allow detrand measured timing column of the experiment table
+		chunkNS := elapsed()
 		if len(merged) != 1 || !merged[0].Equal(&orig) {
 			return nil, fmt.Errorf("P2: chunk reassembly failed at %d stages", stages)
 		}
@@ -187,7 +187,7 @@ func P2(seed int64) (*Table, error) {
 			frags = next
 		}
 		rng.Shuffle(len(frags), func(i, j int) { frags[i], frags[j] = frags[j], frags[i] })
-		start = time.Now() //lint:allow detrand measured timing column of the experiment table
+		elapsed = stopwatch()
 		r := ipfrag.NewReassembler(0)
 		var out []byte
 		for _, f := range frags {
@@ -199,7 +199,7 @@ func P2(seed int64) (*Table, error) {
 				out = o
 			}
 		}
-		ipNS := time.Since(start) //lint:allow detrand measured timing column of the experiment table
+		ipNS := elapsed()
 		if out == nil {
 			return nil, fmt.Errorf("P2: ip reassembly failed at %d stages", stages)
 		}
@@ -246,7 +246,7 @@ func P3(seed int64) (*Table, error) {
 			chs = append(chs, c)
 		}
 	}
-	start := time.Now() //lint:allow detrand measured timing column of the experiment table
+	elapsed := stopwatch()
 	var track vr.Tracker
 	for i := range chs {
 		key := vr.Key{Level: vr.LevelT, ID: chs[i].T.ID}
@@ -257,7 +257,7 @@ func P3(seed int64) (*Table, error) {
 			track.Retire(key)
 		}
 	}
-	chunkMS := time.Since(start) //lint:allow detrand measured timing column of the experiment table
+	chunkMS := elapsed()
 
 	// IP stream: same mixture as raw datagram payloads.
 	var frags []ipfrag.Fragment
@@ -272,7 +272,7 @@ func P3(seed int64) (*Table, error) {
 			frags = append(frags, ipfrag.Fragment{ID: uint32(i), Offset: 0, More: false, Data: payload})
 		}
 	}
-	start = time.Now() //lint:allow detrand measured timing column of the experiment table
+	elapsed = stopwatch()
 	r := ipfrag.NewReassembler(0)
 	for _, f := range frags {
 		// The demux branch: whole datagrams bypass the reassembler.
@@ -283,7 +283,7 @@ func P3(seed int64) (*Table, error) {
 			return nil, err
 		}
 	}
-	ipMS := time.Since(start) //lint:allow detrand measured timing column of the experiment table
+	ipMS := elapsed()
 
 	t.row("chunks", fmt.Sprintf("%.2f", float64(chunkMS.Microseconds())/1000), "1 (uniform)")
 	t.row("ip fragmentation", fmt.Sprintf("%.2f", float64(ipMS.Microseconds())/1000), "2 (whole vs fragment)")
@@ -452,11 +452,11 @@ func P5(seed int64, trials int) (*Table, error) {
 
 	mbps := func(f func()) string {
 		const reps = 16
-		start := time.Now() //lint:allow detrand measured timing column of the experiment table
+		elapsed := stopwatch()
 		for i := 0; i < reps; i++ {
 			f()
 		}
-		sec := time.Since(start).Seconds() //lint:allow detrand measured timing column of the experiment table
+		sec := elapsed().Seconds()
 		return fmt.Sprintf("%.0f", float64(len(block)*reps)/1e6/sec)
 	}
 	wscRate := mbps(func() { _, _ = wsc.EncodeBytes(block) })
@@ -693,13 +693,22 @@ func throughput(bytes int, f func()) float64 {
 	f() // warm caches and lazy tables
 	const window = 20 * time.Millisecond
 	for iters := 1; ; iters *= 2 {
-		start := time.Now() //lint:allow detrand measured timing column of the experiment table
+		elapsed := stopwatch()
 		for i := 0; i < iters; i++ {
 			f()
 		}
-		if el := time.Since(start); el >= window || iters >= 1<<22 { //lint:allow detrand measured timing column of the experiment table
+		if el := elapsed(); el >= window || iters >= 1<<22 {
 			return float64(bytes) * float64(iters) / el.Seconds() / 1e6
 		}
+	}
+}
+
+// stopwatch starts a wall-clock measurement and returns the function
+// that reads it: the one clock behind every measured timing column.
+func stopwatch() func() time.Duration {
+	start := time.Now() //lint:allow detrand measured timing column of the experiment table
+	return func() time.Duration {
+		return time.Since(start) //lint:allow detrand measured timing column of the experiment table
 	}
 }
 

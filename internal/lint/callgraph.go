@@ -170,3 +170,21 @@ func (g *callGraph) reachableFrom(roots []*cgNode) map[*cgNode]bool {
 	}
 	return seen
 }
+
+// funcDisplayName renders "Type.Method" or "pkg.Func" for messages.
+func funcDisplayName(f *types.Func) string {
+	sig := f.Type().(*types.Signature)
+	if recv := sig.Recv(); recv != nil {
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		if named, ok := t.(*types.Named); ok {
+			return named.Obj().Name() + "." + f.Name()
+		}
+	}
+	if f.Pkg() != nil {
+		return f.Pkg().Name() + "." + f.Name()
+	}
+	return f.Name()
+}

@@ -10,23 +10,18 @@ import (
 // Detrand enforces the repository's seeding discipline: the global
 // math/rand source is banned everywhere (tests included — randomized
 // workloads must be seeded), and the wall clock (time.Now/time.Since)
-// is banned in the logic paths of deterministic packages. Legitimate
-// timing sites — experiment timing columns, socket deadlines, the
+// is banned in the logic paths of every internal/ package. Legitimate
+// timing sites — the experiments' stopwatch, socket deadlines, the
 // transport's RTT epoch — carry an annotated //lint:allow detrand.
-type Detrand struct {
-	// WallClockScope reports whether a package's logic paths must be
-	// wall-clock free. The default covers every internal/ package.
-	WallClockScope func(pkgPath string) bool
-}
+type Detrand struct{}
 
-// NewDetrand returns the check with repository-default scoping.
-func NewDetrand() *Detrand {
-	return &Detrand{
-		WallClockScope: func(pkgPath string) bool {
-			return strings.Contains(pkgPath, "/internal/")
-		},
-	}
-}
+// NewDetrand returns the check.
+func NewDetrand() *Detrand { return &Detrand{} }
+
+// isInternal reports whether a package lies under an internal/
+// directory: the deterministic logic packages detrand and maprange
+// scope themselves to.
+func isInternal(pkgPath string) bool { return strings.Contains(pkgPath, "/internal/") }
 
 func (*Detrand) Name() string { return "detrand" }
 func (*Detrand) Doc() string {
@@ -71,7 +66,7 @@ func (c *Detrand) Run(m *Module, report func(pos token.Pos, format string, args 
 							pn.Imported().Path(), sel.Sel.Name)
 					}
 				case "time":
-					if isTest || c.WallClockScope == nil || !c.WallClockScope(p.Path) {
+					if isTest || !isInternal(p.Path) {
 						return true
 					}
 					if sel.Sel.Name == "Now" || sel.Sel.Name == "Since" {

@@ -1,7 +1,9 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 )
 
@@ -17,9 +19,15 @@ import (
 // (testing.AllocsPerRun over the steady-state send path): the tests
 // prove a particular workload does not allocate, this check proves no
 // code path in the annotated closure of functions can, and names the
-// exact site when one appears. Deliberate cold-path allocations
-// (error construction, pool refills) carry //lint:allow hotalloc with
-// the justification.
+// exact site when one appears.
+//
+// Error construction is cold by rule: a site inside a call to
+// fmt.Errorf or errors.New, or to a module function whose whole body
+// is `return fmt.Errorf(…)` / `return errors.New(…)` (its inlined
+// allocations land at the call), is not reported. An allocation
+// passed to any other call is, even one that returns an error. Other
+// deliberate cold-path allocations (pool refills, one-shot open)
+// carry //lint:allow hotalloc with the justification.
 //
 // Boundaries: calls through interfaces or function values are not
 // traversed (the runtime tests still cover them), and allocations the
@@ -68,12 +76,63 @@ func (c *Hotalloc) Run(m *Module, report func(pos token.Pos, format string, args
 		start := m.Fset.Position(n.decl.Pos())
 		end := m.Fset.Position(n.decl.End())
 		tf := m.Fset.File(n.decl.Pos())
+		cold := errorConstruction(cg, n)
+	sites:
 		for _, s := range esc.sites(relFile(m, start.Filename)) {
 			if s.Line < start.Line || s.Line > end.Line {
 				continue
 			}
 			pos := tf.LineStart(s.Line) + token.Pos(s.Col-1)
+			for _, call := range cold {
+				if call.Pos() <= pos && pos < call.End() {
+					continue sites
+				}
+			}
 			report(pos, "allocation on //lint:hot path in %s: %s", funcDisplayName(n.obj), s.Msg)
 		}
 	}
+}
+
+// errorConstruction returns the calls in n's body that construct an
+// error: fmt.Errorf, errors.New, and module functions that do nothing
+// but return one of those.
+func errorConstruction(cg *callGraph, n *cgNode) []*ast.CallExpr {
+	info := n.pkg.infoFor(fileOf(n.pkg, n.decl))
+	var calls []*ast.CallExpr
+	ast.Inspect(n.decl.Body, func(x ast.Node) bool {
+		if call, ok := x.(*ast.CallExpr); ok {
+			f := resolveCallee(info, call)
+			if isErrorCtor(f) || returnsErrorCtor(cg.node(f)) {
+				calls = append(calls, call)
+				return false
+			}
+		}
+		return true
+	})
+	return calls
+}
+
+// returnsErrorCtor reports whether n's whole body is
+// `return fmt.Errorf(…)` or `return errors.New(…)`.
+func returnsErrorCtor(n *cgNode) bool {
+	if n == nil || n.decl.Body == nil || len(n.decl.Body.List) != 1 {
+		return false
+	}
+	ret, ok := n.decl.Body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	call, ok := ret.Results[0].(*ast.CallExpr)
+	return ok && isErrorCtor(resolveCallee(n.pkg.infoFor(fileOf(n.pkg, n.decl)), call))
+}
+
+func isErrorCtor(f *types.Func) bool {
+	if f == nil || f.Pkg() == nil {
+		return false
+	}
+	switch f.Pkg().Path() + "." + f.Name() {
+	case "fmt.Errorf", "errors.New":
+		return true
+	}
+	return false
 }

@@ -17,6 +17,11 @@
 //     must begin with a nil-receiver guard (telemetry-off-is-free).
 //   - poolsafe: sync.Pool-derived values must not escape the function
 //     that drew them (returns or stores into longer-lived structures).
+//   - hotalloc: functions reachable from //lint:hot roots must be free
+//     of compiler-reported heap allocations; error construction is
+//     cold by rule.
+//   - lifecycle: goroutines and tickers/timers in internal/ need a join
+//     or Stop reachable from Close/Stop/Shutdown.
 //
 // A finding at a site that is genuinely legitimate is suppressed with
 // an inline directive on the same line or the line above:
@@ -24,7 +29,8 @@
 //	//lint:allow <check> <reason>
 //
 // The reason is mandatory, and a directive that stops matching any
-// finding is itself reported, so suppressions cannot go stale.
+// finding, or names a check outside the suite, is itself reported, so
+// suppressions cannot go stale.
 package lint
 
 import (
@@ -60,7 +66,7 @@ type Check interface {
 	Run(m *Module, report func(pos token.Pos, format string, args ...any))
 }
 
-// AllChecks returns the full suite with repository-default scoping.
+// AllChecks returns the full suite.
 func AllChecks() []Check {
 	return []Check{
 		NewDetrand(),
@@ -68,7 +74,6 @@ func AllChecks() []Check {
 		NewWirepin(),
 		NewNilnoop(),
 		NewPoolsafe(),
-		NewLocked(),
 		NewHotalloc(),
 		NewLifecycle(),
 	}
@@ -88,7 +93,8 @@ type Stats struct {
 // Run executes the checks over the module, applies //lint:allow
 // suppressions, and returns the surviving diagnostics sorted by
 // position. Malformed (reason-less) and unused allow directives for
-// the executed checks are reported as check "lint".
+// the executed checks, and directives naming a check outside the
+// suite, are reported as check "lint".
 func Run(m *Module, checks []Check) []Diagnostic {
 	diags, _ := RunStats(m, checks)
 	return diags
@@ -131,8 +137,19 @@ func RunStats(m *Module, checks []Check) ([]Diagnostic, Stats) {
 	}
 	diags = kept
 
+	known := map[string]bool{"lint": true}
+	for _, c := range AllChecks() {
+		known[c.Name()] = true
+	}
 	for _, dir := range dirs.all {
-		if !ran[dir.check] {
+		switch {
+		case !known[dir.check]:
+			diags = append(diags, Diagnostic{
+				Check: "lint", File: dir.file, Line: dir.line, Col: dir.col,
+				Message: fmt.Sprintf("//lint:allow names unknown check %q", dir.check),
+			})
+			continue
+		case !ran[dir.check]:
 			continue // a subset run cannot judge other checks' allows
 		}
 		switch {

@@ -21,21 +21,12 @@ import (
 //     updates (++, +=, |=, &=, ^=, *=) — possibly nested under if.
 //
 // Anything else needs restructuring or an annotated
-// //lint:allow maprange <reason> (e.g. a min-reduction).
-type Maprange struct {
-	// Scope reports whether a package's map iterations are checked.
-	// The default covers every internal/ package.
-	Scope func(pkgPath string) bool
-}
+// //lint:allow maprange <reason> (e.g. a min-reduction). Every
+// internal/ package is checked.
+type Maprange struct{}
 
-// NewMaprange returns the check with repository-default scoping.
-func NewMaprange() *Maprange {
-	return &Maprange{
-		Scope: func(pkgPath string) bool {
-			return strings.Contains(pkgPath, "/internal/")
-		},
-	}
-}
+// NewMaprange returns the check.
+func NewMaprange() *Maprange { return &Maprange{} }
 
 func (*Maprange) Name() string { return "maprange" }
 func (*Maprange) Doc() string {
@@ -44,7 +35,7 @@ func (*Maprange) Doc() string {
 
 func (c *Maprange) Run(m *Module, report func(pos token.Pos, format string, args ...any)) {
 	for _, p := range m.Packages {
-		if c.Scope != nil && !c.Scope(p.Path) {
+		if !isInternal(p.Path) {
 			continue
 		}
 		for _, f := range p.Files {

@@ -11,23 +11,19 @@ import (
 // guard (or delegate immediately to a sibling method that does), so a
 // disabled Sink costs exactly one predictable branch and the zero
 // configuration can never panic.
-type Nilnoop struct {
-	// PackageSuffix selects the telemetry package by import-path suffix.
-	PackageSuffix string
-	// Types are the instrument type names whose pointer methods must
-	// be nil-safe.
-	Types map[string]bool
-}
+type Nilnoop struct{}
 
-// NewNilnoop returns the check with repository-default scoping.
-func NewNilnoop() *Nilnoop {
-	return &Nilnoop{
-		PackageSuffix: "internal/telemetry",
-		Types: map[string]bool{
-			"Counter": true, "Gauge": true, "Histogram": true,
-			"Ring": true, "Scope": true, "Registry": true,
-		},
-	}
+// NewNilnoop returns the check.
+func NewNilnoop() *Nilnoop { return &Nilnoop{} }
+
+// telemetryPackage selects the telemetry package by import-path suffix.
+const telemetryPackage = "internal/telemetry"
+
+// instrumentTypes are the type names whose pointer methods must be
+// nil-safe.
+var instrumentTypes = map[string]bool{
+	"Counter": true, "Gauge": true, "Histogram": true,
+	"Ring": true, "Scope": true, "Registry": true,
 }
 
 func (*Nilnoop) Name() string { return "nilnoop" }
@@ -37,7 +33,7 @@ func (*Nilnoop) Doc() string {
 
 func (c *Nilnoop) Run(m *Module, report func(pos token.Pos, format string, args ...any)) {
 	for _, p := range m.Packages {
-		if !strings.HasSuffix(p.Path, c.PackageSuffix) {
+		if !strings.HasSuffix(p.Path, telemetryPackage) {
 			continue
 		}
 		for _, f := range p.Files {
@@ -47,7 +43,7 @@ func (c *Nilnoop) Run(m *Module, report func(pos token.Pos, format string, args 
 					continue
 				}
 				recvName, typeName := receiver(fn)
-				if !c.Types[typeName] {
+				if !instrumentTypes[typeName] {
 					continue
 				}
 				if nilGuarded(fn.Body.List, recvName) || delegates(fn.Body.List, recvName) {

@@ -48,3 +48,11 @@ func StaleAllow() int {
 	//lint:allow maprange stale suppression kept after a refactor
 	return 0
 }
+
+// MisspelledAllow names a check outside the suite: a typo or a deleted
+// check would otherwise pass silently, so the name itself is reported.
+func MisspelledAllow() time.Time {
+	// want "lint: //lint:allow names unknown check .detrnd."
+	//lint:allow detrnd timing column of a measured experiment table
+	return time.Now() // want "detrand: time\.Now in deterministic package detrandbad"
+}

@@ -18,25 +18,21 @@ import (
 //  2. Every exported constant of a wire package must be referenced
 //     from at least one test file somewhere in the module — an
 //     exported wire constant nobody pins can drift silently.
-type Wirepin struct {
-	// PackageSuffixes selects the wire packages by import-path suffix.
-	PackageSuffixes []string
-}
+type Wirepin struct{}
 
-// NewWirepin returns the check with repository-default scoping.
-func NewWirepin() *Wirepin {
-	return &Wirepin{PackageSuffixes: []string{
-		"internal/chunk", "internal/packet", "internal/compress",
-	}}
-}
+// NewWirepin returns the check.
+func NewWirepin() *Wirepin { return &Wirepin{} }
+
+// wirePackages selects the wire packages by import-path suffix.
+var wirePackages = []string{"internal/chunk", "internal/packet", "internal/compress"}
 
 func (*Wirepin) Name() string { return "wirepin" }
 func (*Wirepin) Doc() string {
 	return "magic wire offsets must be named constants; exported wire constants must be test-pinned"
 }
 
-func (c *Wirepin) inScope(pkgPath string) bool {
-	for _, s := range c.PackageSuffixes {
+func isWirePackage(pkgPath string) bool {
+	for _, s := range wirePackages {
 		if strings.HasSuffix(pkgPath, s) {
 			return true
 		}
@@ -48,7 +44,7 @@ func (c *Wirepin) Run(m *Module, report func(pos token.Pos, format string, args 
 	// Pass 1: magic offsets in wire-package sources.
 	exported := map[types.Object]token.Pos{}
 	for _, p := range m.Packages {
-		if !c.inScope(p.Path) {
+		if !isWirePackage(p.Path) {
 			continue
 		}
 		for _, f := range p.Files {

@@ -141,7 +141,7 @@ func DecodeInto(b []byte, p *Packet) error {
 		var c chunk.Chunk
 		n, err := c.DecodeFromBytes(b[off:total])
 		if err != nil {
-			return fmt.Errorf("packet: chunk at offset %d: %w", off, err) //lint:allow hotalloc cold error path: fmt boxes its operands
+			return fmt.Errorf("packet: chunk at offset %d: %w", off, err)
 		}
 		off += n
 		if c.IsTerminator() {

@@ -376,7 +376,6 @@ func (e *Engine[C]) WithPrimary(fn func(c C)) bool {
 	}()
 	var best *entry[C]
 	for _, sh := range e.shards {
-		//lint:allow locked every shard's mutex is held: acquired across the preceding loop, released by the deferred loop
 		for _, en := range sh.conns { //lint:allow maprange min-reduction over the unique establishment sequence; order-independent
 			if best == nil || en.established < best.established {
 				best = en

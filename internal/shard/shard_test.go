@@ -294,3 +294,44 @@ func TestDefaultShardCount(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentEngine drives the per-connection path (Lookup,
+// Establish, ArmPoll, Remove under the shard lock) from one goroutine
+// against Tick and Range from another, as the server's read loops and
+// tick loop do. Each shard's table and wheel are guarded by its mutex;
+// under -race this is the test that sees a dropped lock.
+func TestConcurrentEngine(t *testing.T) {
+	e := New(Config[int]{Shards: 4, IdleTicks: 3, Poll: func(Key, int) bool { return false }})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			k := Key{CID: uint32(i % 64), Addr: "c"}
+			sh := e.Shard(k)
+			sh.Lock()
+			if _, ok := sh.Lookup(k); !ok {
+				if _, err := sh.Establish(k, func() (int, error) { return i, nil }); err != nil {
+					t.Errorf("establish %v: %v", k, err)
+				}
+			}
+			sh.ArmPoll(k)
+			if i%7 == 0 {
+				sh.Remove(k)
+			}
+			sh.Unlock()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		e.Tick()
+		n := 0
+		e.Range(func(Key, int) { n++ })
+		if n > 64 {
+			t.Fatalf("Range visited %d connections, at most 64 keys exist", n)
+		}
+	}
+}

@@ -356,3 +356,40 @@ func TestHTTPEndpoint(t *testing.T) {
 		t.Fatal("/debug/vars missing the chunks registry")
 	}
 }
+
+// TestConcurrentResolution creates scopes and instruments, two
+// goroutines per kind, while the test goroutine snapshots the
+// registry. The registry's scope table and each scope's instrument
+// tables are guarded by their mutexes; under -race this is the test
+// that sees a dropped lock.
+func TestConcurrentResolution(t *testing.T) {
+	reg := New(0)
+	s := reg.Scope("conn")
+	const n = 200
+	var wg sync.WaitGroup
+	for _, resolve := range []func(i int){
+		func(i int) { reg.Scope(fmt.Sprintf("conn.%d", i)) },
+		func(i int) { s.Counter(fmt.Sprintf("c%d", i)).Inc() },
+		func(i int) { s.Gauge(fmt.Sprintf("g%d", i)).Set(int64(i)) },
+		func(i int) { s.Histogram(fmt.Sprintf("h%d", i)).Observe(int64(i)) },
+	} {
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < n; i++ {
+					resolve(i)
+				}
+			}()
+		}
+	}
+	for i := 0; i < 20; i++ {
+		_ = reg.Snapshot()
+	}
+	wg.Wait()
+	snap := reg.Snapshot()
+	if len(snap.Scopes) != n+1 || len(snap.Scopes["conn"].Counters) != n || snap.Scopes["conn"].Counters["c0"] != 2 {
+		t.Fatalf("after concurrent resolution: %d scopes, %d counters, c0 = %d; want %d, %d, 2",
+			len(snap.Scopes), len(snap.Scopes["conn"].Counters), snap.Scopes["conn"].Counters["c0"], n+1, n)
+	}
+}

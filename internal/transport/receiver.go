@@ -356,7 +356,7 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 	case chunk.TypeAck, chunk.TypeNack:
 		return nil // peer's control towards its own sender role
 	default:
-		return fmt.Errorf("transport: unexpected chunk type %v", c.Type) //lint:allow hotalloc cold error path: fmt boxes its operands
+		return fmt.Errorf("transport: unexpected chunk type %v", c.Type)
 	}
 }
 

@@ -377,7 +377,7 @@ func (s *Sender) cutTPDU(n int) error {
 	par, err := errdet.Encode(s.cfg.Layout, rec.chunks)
 	if err != nil {
 		recPool.Put(rec)
-		return fmt.Errorf("transport: encode TPDU %d: %w", tid, err) //lint:allow hotalloc cold error path: fmt boxes its operands
+		return fmt.Errorf("transport: encode TPDU %d: %w", tid, err)
 	}
 	rec.ed = errdet.EDChunkAppend(s.cfg.CID, tid, start, par, rec.edbuf)
 	rec.edbuf = rec.ed.Payload

@@ -79,11 +79,11 @@ func (p *PDU) AddChecked(sn, n uint64, st bool, pol Policy, data []byte, size in
 	if st {
 		end := sn + n
 		if p.haveEnd && p.end != end {
-			return nil, nil, conflictEndErr(p.end, end) //lint:allow hotalloc cold error path: fmt boxes its operands
+			return nil, nil, conflictEndErr(p.end, end)
 		}
 	}
 	if p.haveEnd && sn+n > p.end {
-		return nil, nil, beyondEndErr(sn, sn+n, p.end) //lint:allow hotalloc cold error path: fmt boxes its operands
+		return nil, nil, beyondEndErr(sn, sn+n, p.end)
 	}
 	conflicts = p.conflicts(sn, n, data, size, prior)
 	if len(conflicts) > 0 && (pol == RejectPDU || pol == RejectConnection) {

@@ -35,11 +35,11 @@ var (
 )
 
 func conflictEndErr(old, new uint64) error {
-	return fmt.Errorf("%w: %d then %d", ErrConflictingEnd, old, new) //lint:allow hotalloc cold error path: fmt boxes its operands
+	return fmt.Errorf("%w: %d then %d", ErrConflictingEnd, old, new)
 }
 
 func beyondEndErr(lo, hi, end uint64) error {
-	return fmt.Errorf("%w: [%d,%d) with end %d", ErrBeyondEnd, lo, hi, end) //lint:allow hotalloc cold error path: fmt boxes its operands
+	return fmt.Errorf("%w: [%d,%d) with end %d", ErrBeyondEnd, lo, hi, end)
 }
 
 // Add records a chunk covering elements [sn, sn+n) with st set if the
@@ -53,13 +53,13 @@ func (p *PDU) Add(sn, n uint64, st bool) ([]Interval, error) {
 	if st {
 		end := sn + n
 		if p.haveEnd && p.end != end {
-			return nil, conflictEndErr(p.end, end) //lint:allow hotalloc cold error path: fmt boxes its operands
+			return nil, conflictEndErr(p.end, end)
 		}
 		p.end = end
 		p.haveEnd = true
 	}
 	if p.haveEnd && sn+n > p.end {
-		return nil, beyondEndErr(sn, sn+n, p.end) //lint:allow hotalloc cold error path: fmt boxes its operands
+		return nil, beyondEndErr(sn, sn+n, p.end)
 	}
 	if fresh := p.set.AddTo(p.fresh[:0], sn, sn+n); len(fresh) > 0 {
 		return fresh, nil

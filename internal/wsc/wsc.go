@@ -136,7 +136,7 @@ func (a *Accumulator) AddRun(start uint64, syms []uint32) error {
 //lint:hot
 func (a *Accumulator) AddBytes(start uint64, b []byte) error {
 	if len(b)%SymbolSize != 0 {
-		return errors.New("wsc: byte run not a multiple of symbol size") //lint:allow hotalloc cold error path
+		return errors.New("wsc: byte run not a multiple of symbol size")
 	}
 	n := len(b) / SymbolSize
 	if n == 0 {
