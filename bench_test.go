@@ -113,7 +113,6 @@ func BenchmarkP9ChecksumKernels(b *testing.B) {
 	run("scalar", wsc.EncodeBytesScalar)
 	run("table", wsc.EncodeBytesTable)
 	run("best", wsc.EncodeBytes)
-	run("sharded4", func(p []byte) (wsc.Parity, error) { return wsc.EncodeBytesParallel(p, 4) })
 }
 
 // Adversarial overlap matrix (O1): the full differential replay —

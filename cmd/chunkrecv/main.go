@@ -1,7 +1,8 @@
 // Chunkrecv receives a chunk transport connection over UDP, verifies
 // every TPDU end-to-end with WSC-2, and optionally writes the placed
-// stream to a file. It exits non-zero if a TPDU fails verification or
-// the sender does not close the connection within -wait.
+// stream to a file. It serves the first connection to arrive and exits
+// non-zero if a TPDU fails verification or that connection is not
+// closed with every element verified within -wait.
 //
 // Usage:
 //
@@ -9,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +34,7 @@ func run(args []string, stdout io.Writer) int {
 	listen := fs.String("listen", "127.0.0.1:9911", "UDP listen address")
 	out := fs.String("out", "", "write the received stream to this file")
 	verbose := fs.Bool("v", false, "log each TPDU verdict and frame")
-	wait := fs.Duration("wait", 5*time.Minute, "give up, and exit non-zero, if the sender has not closed the connection after this long")
+	wait := fs.Duration("wait", 5*time.Minute, "give up, and exit non-zero, if the sender has not closed a fully verified stream after this long")
 	telAddr := fs.String("telemetry", "", "serve live telemetry on this HTTP address (e.g. 127.0.0.1:6071); also prints a snapshot at exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -59,9 +61,8 @@ func run(args []string, stdout io.Writer) int {
 				verified++
 			} else {
 				failed++
-				log.Printf("TPDU %d: %v", tid, v)
 			}
-			if *verbose {
+			if v != errdet.VerdictOK || *verbose {
 				log.Printf("TPDU %d: %v", tid, v)
 			}
 		},
@@ -78,29 +79,33 @@ func run(args []string, stdout io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "listening on %v\n", srv.Addr())
 
-	deadline := time.Now().Add(*wait)
-	for !srv.Closed() && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
-	}
-	closed := srv.Closed()
-	if closed {
-		// Grace period for retransmissions of the tail.
-		time.Sleep(500 * time.Millisecond)
+	// -wait bounds the first connection's arrival and its Done.
+	ctx, cancel := context.WithTimeout(context.Background(), *wait)
+	defer cancel()
+	sc, err := srv.Accept(ctx)
+	if err == nil {
+		select {
+		case <-sc.Done():
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
 	}
 	// Stop the readers before reading what their callbacks counted.
 	srv.Shutdown()
-
-	stream := srv.Stream()
+	var stream []byte
+	if sc != nil {
+		stream = sc.Stream()
+		for _, f := range sc.Findings() {
+			log.Printf("finding: %v", f)
+		}
+	}
 	fmt.Fprintf(stdout, "received %d bytes; TPDUs verified %d, failed %d; frames %d\n",
 		len(stream), verified, failed, frames)
 	if reg != nil {
 		reg.Snapshot().WriteText(stdout)
 	}
-	for _, f := range srv.Findings() {
-		log.Printf("finding: %v", f)
-	}
-	if !closed {
-		log.Printf("wait timed out after %v: the sender never closed the connection", *wait)
+	if err != nil {
+		log.Printf("wait timed out after %v: the sender never closed a fully verified stream", *wait)
 		return 1
 	}
 	if *out != "" {

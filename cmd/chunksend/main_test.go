@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"regexp"
 	"strconv"
@@ -35,7 +36,11 @@ func TestRunWindowStalls(t *testing.T) {
 	if n, _ := strconv.Atoi(m[1]); n == 0 {
 		t.Fatalf("window_stalls = 0 with -window 1; output:\n%s", out.String())
 	}
-	if got := srv.Stream(); len(got) != 262144 {
+	sc, err := srv.Accept(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Stream(); len(got) != 262144 {
 		t.Fatalf("server received %d bytes, want 262144", len(got))
 	}
 }

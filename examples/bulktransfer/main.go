@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -69,12 +70,20 @@ func main() {
 	if err := conn.WaitDrained(30 * time.Second); err != nil {
 		log.Fatal(err)
 	}
-	if err := srv.WaitClosed(size, 30*time.Second); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	sc, err := srv.Accept(ctx)
+	if err != nil {
 		log.Fatal(err)
+	}
+	select {
+	case <-sc.Done(): // closed, and every element verified
+	case <-ctx.Done():
+		log.Fatal(ctx.Err())
 	}
 	elapsed := time.Since(start)
 
-	if !bytes.Equal(srv.Stream(), data) {
+	if !bytes.Equal(sc.Stream(), data) {
 		log.Fatal("data corruption: streams differ")
 	}
 	sent, retr := conn.Stats()

@@ -197,10 +197,8 @@ func TestCoalescedAckTransfer(t *testing.T) {
 	if err := conn.WaitDrained(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.WaitClosed(len(data), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(srv.Stream(), data) {
+	sc := acceptDone(t, srv)
+	if !bytes.Equal(sc.Stream(), data) {
 		t.Fatal("received stream differs from sent data")
 	}
 	out := reg.Snapshot().Scopes["server"].Counters["control_out"]

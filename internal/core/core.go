@@ -14,8 +14,9 @@
 //	conn, _ := core.Dial(srv.Addr().String(), core.Config{CID: 7})
 //	conn.Write(data)
 //	conn.Close()          // flush + close signal
-//	conn.WaitDrained(5 * time.Second)
-//	srv.Stream()          // the placed application bytes
+//	sc, _ := srv.Accept(ctx)
+//	<-sc.Done()           // closed, and every element verified
+//	sc.Stream()           // the placed application bytes
 //
 // The error control is adaptive (Karn/Jacobson): retransmission
 // timeouts follow a smoothed RTT + variance estimate seeded from ACK
@@ -180,10 +181,10 @@ func (c *Config) fill() {
 // syscalls the kernel boundary costs, never protocol behavior.
 const batchWidth = 32
 
-// ErrTimeout reports that WaitDrained/WaitClosed gave up.
+// ErrTimeout reports that WaitDrained gave up.
 var ErrTimeout = errors.New("core: wait timed out")
 
-// ErrShutdown reports use of a connection after Shutdown.
+// ErrShutdown reports use of a Conn or Server after Shutdown.
 var ErrShutdown = errors.New("core: connection shut down")
 
 // ErrPeerDead reports that the peer stopped acknowledging and

@@ -50,24 +50,22 @@ func TestLoopbackTransfer(t *testing.T) {
 	if err := conn.WaitDrained(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.WaitClosed(len(data), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(srv.Stream(), data) {
+	sc := acceptDone(t, srv)
+	if !bytes.Equal(sc.Stream(), data) {
 		t.Fatal("received stream differs from sent data")
 	}
 	sent, _ := conn.Stats()
-	if srv.VerifiedCount() != sent {
-		t.Fatalf("verified %d of %d TPDUs", srv.VerifiedCount(), sent)
-	}
 	mu.Lock()
 	defer mu.Unlock()
+	if len(verdicts) != sent {
+		t.Fatalf("verdicts for %d of %d TPDUs", len(verdicts), sent)
+	}
 	for tid, v := range verdicts {
 		if v != errdet.VerdictOK {
 			t.Fatalf("TPDU %d verdict %v", tid, v)
 		}
 	}
-	if fs := srv.Findings(); len(fs) != 0 {
+	if fs := sc.Findings(); len(fs) != 0 {
 		t.Fatalf("findings: %v", fs)
 	}
 }
@@ -93,13 +91,11 @@ func TestLoopbackFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := 0
 	for _, f := range frames {
 		if err := conn.Write(f); err != nil {
 			t.Fatal(err)
 		}
 		conn.EndFrame()
-		total += len(f)
 	}
 	if err := conn.Close(); err != nil {
 		t.Fatal(err)
@@ -107,20 +103,9 @@ func TestLoopbackFrames(t *testing.T) {
 	if err := conn.WaitDrained(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.WaitClosed(total, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Frames deliver asynchronously; give callbacks a moment.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n == len(frames) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// OnFrame runs before the chunk run that completes the stream ends,
+	// so every frame is in by the time Done closes.
+	acceptDone(t, srv)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != len(frames) {

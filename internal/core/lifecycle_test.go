@@ -77,8 +77,8 @@ func TestSpoofCannotHijackControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait on the real connection by its key: the spoofer's datagrams
-	// may establish first, so the server's primary connection (what
-	// WaitClosed watches) can be the spoofed one.
+	// may establish first, so the first accepted connection can be the
+	// spoofed one.
 	real := srv.StreamOf(7, conn.LocalAddr().String())
 	for deadline := time.Now().Add(10 * time.Second); len(real) < len(data) && time.Now().Before(deadline); {
 		time.Sleep(5 * time.Millisecond)

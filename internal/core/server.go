@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,13 +25,31 @@ import (
 type serverConn struct {
 	r    *transport.Receiver
 	peer *net.UDPAddr // control destination, bound at establishment
-	cid  uint32
 	// q is the control queue of the read loop routing this
 	// connection's current chunk run, nil outside one (Inject,
 	// InjectBatch, tick-loop polls), where control is sent at once.
 	// Set and cleared under the connection's shard lock.
 	q *ctrlQueue
+	// done is ServerConn.Done's channel. Accept makes it, once, under
+	// the shard lock; nil until then.
+	done chan struct{}
 }
+
+// signalDone closes c.done, if made, once c.r is complete. Lock held.
+func (c *serverConn) signalDone() {
+	if c.done == nil || !c.r.Complete() {
+		return
+	}
+	select {
+	case <-c.done:
+	default:
+		close(c.done)
+	}
+}
+
+// acceptBacklog is how many established connections wait for Accept:
+// a listen backlog's traditional 128.
+const acceptBacklog = 128
 
 // envLenOff is the offset of the envelope's total-length field: the
 // last two bytes of the packet header.
@@ -84,15 +103,11 @@ func (q *ctrlQueue) add(c *serverConn, d []byte) {
 // exactly one shard lock. Timer-driven work (receiver poll rounds,
 // idle expiry) runs off the shards' hierarchical timer wheels in O(1)
 // per tick instead of a per-tick scan of the whole connection table.
-//
-// The single-connection accessors (Stream, VerifiedCount, Closed,
-// Findings, WaitClosed) operate on the primary connection: the
-// earliest-established one still alive. Multi-peer callers use
-// StreamOf and ConnCount.
 type Server struct {
 	cfg      Config
 	sock     *net.UDPConn
 	eng      *shard.Engine[*serverConn]
+	accepts  chan shard.Key // the Accept backlog
 	done     chan struct{}
 	shutOnce sync.Once
 	wg       sync.WaitGroup
@@ -112,6 +127,7 @@ type Server struct {
 	telSetupErr    *telemetry.Counter
 	telSockErr     *telemetry.Counter
 	telControlOut  *telemetry.Counter // control envelopes the read loops sent, added once per flush
+	telOverflow    *telemetry.Counter // connections established while the Accept backlog was full
 	telLive        *telemetry.Gauge
 	telRing        *telemetry.Ring
 }
@@ -132,9 +148,10 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	_ = sock.SetWriteBuffer(4 << 20)
 	sink := cfg.Telemetry.Sink("server")
 	srv := &Server{
-		cfg:  cfg,
-		sock: sock,
-		done: make(chan struct{}),
+		cfg:     cfg,
+		sock:    sock,
+		accepts: make(chan shard.Key, acceptBacklog),
+		done:    make(chan struct{}),
 
 		telEstablished: sink.Counter("conns_established"),
 		telExpired:     sink.Counter("conns_expired"),
@@ -145,6 +162,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		telSetupErr:    sink.Counter("conn_setup_errors"),
 		telSockErr:     sink.Counter("recv_sock_err"),
 		telControlOut:  sink.Counter("control_out"),
+		telOverflow:    sink.Counter("accept_overflow"),
 		telLive:        sink.Gauge("conns_live"),
 		telRing:        sink.Ring,
 	}
@@ -220,7 +238,7 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 		// who sent the datagram that triggered it. Inside a read-loop
 		// batch it waits in the loop's queue; anywhere else it is sent
 		// at once.
-		sc := &serverConn{peer: peer, cid: key.CID}
+		sc := &serverConn{peer: peer}
 		out := func(d []byte) {
 			if sc.q != nil {
 				sc.q.add(sc, d)
@@ -249,6 +267,11 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 	}
 	s.telEstablished.Inc()
 	s.telLive.Set(int64(s.eng.Live()))
+	select {
+	case s.accepts <- key:
+	default:
+		s.telOverflow.Inc()
+	}
 	return c, nil
 }
 
@@ -459,6 +482,7 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort, q *ct
 			}
 		}
 		c.q = nil
+		c.signalDone()
 		if (!dropped || cid != droppedCID) && c.r.NeedsPoll() {
 			sh.ArmPoll(key)
 		}
@@ -488,12 +512,12 @@ func (s *Server) tickLoop() {
 			for _, e := range expired {
 				s.expired.Add(1)
 				s.telExpired.Inc()
-				s.telRing.Record(telemetry.EvExpired, e.Val.cid, 0, 0, 0)
+				s.telRing.Record(telemetry.EvExpired, e.Key.CID, 0, 0, 0)
 			}
 			s.telLive.Set(int64(s.eng.Live()))
 			if s.cfg.OnConnExpired != nil {
 				for _, e := range expired {
-					s.cfg.OnConnExpired(e.Val.cid, e.Val.peer)
+					s.cfg.OnConnExpired(e.Key.CID, e.Val.peer)
 				}
 			}
 		}
@@ -517,16 +541,6 @@ func (s *Server) RejectedConns() int { return int(s.rejected.Load()) }
 // control (Config.MaxConns) refused.
 func (s *Server) RefusedConns() int { return s.eng.Refused() }
 
-// Stream returns a copy of the application bytes placed so far on the
-// primary connection.
-func (s *Server) Stream() []byte {
-	var out []byte
-	s.eng.WithPrimary(func(c *serverConn) {
-		out = append([]byte(nil), c.r.Stream()...)
-	})
-	return out
-}
-
 // StreamOf returns a copy of the stream of the connection established
 // by cid from addr (the exact source "ip:port"), or nil.
 func (s *Server) StreamOf(cid uint32, addr string) []byte {
@@ -540,30 +554,6 @@ func (s *Server) StreamOf(cid uint32, addr string) []byte {
 	return nil
 }
 
-// VerifiedCount returns how many TPDUs verified OK on the primary
-// connection.
-func (s *Server) VerifiedCount() int {
-	n := 0
-	s.eng.WithPrimary(func(c *serverConn) { n = c.r.VerifiedCount() })
-	return n
-}
-
-// Closed reports whether the close signal has arrived on the primary
-// connection.
-func (s *Server) Closed() bool {
-	closed := false
-	s.eng.WithPrimary(func(c *serverConn) { closed = c.r.Closed() })
-	return closed
-}
-
-// Findings returns the error detection findings so far on the primary
-// connection.
-func (s *Server) Findings() []errdet.Finding {
-	var out []errdet.Finding
-	s.eng.WithPrimary(func(c *serverConn) { out = c.r.Findings() })
-	return out
-}
-
 // Reaped returns how many stale incomplete TPDUs were dropped across
 // all connections.
 func (s *Server) Reaped() int {
@@ -572,21 +562,46 @@ func (s *Server) Reaped() int {
 	return n
 }
 
-// WaitClosed blocks until the close signal arrives and the primary
-// stream has n bytes, or the timeout elapses.
-func (s *Server) WaitClosed(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout) //lint:allow detrand test/CLI convenience wait; bounds wall time, not protocol behavior
-	for time.Now().Before(deadline) {   //lint:allow detrand test/CLI convenience wait; bounds wall time, not protocol behavior
-		ok := false
-		s.eng.WithPrimary(func(c *serverConn) {
-			ok = c.r.Closed() && len(c.r.Stream()) >= n
-		})
-		if ok {
-			return nil
+// Accept returns the next connection's handle in establishment order,
+// like net.Listener.Accept. A connection established while the backlog
+// is full is served but never accepted (counted as accept_overflow).
+// The backlog holds keys, not connections: one torn down before it is
+// accepted is skipped, and one re-established under the same key takes
+// its place. Accept fails with ctx.Err(), or with ErrShutdown after
+// Shutdown.
+func (s *Server) Accept(ctx context.Context) (*ServerConn, error) {
+	for {
+		select {
+		case <-s.done:
+			return nil, ErrShutdown
+		default:
 		}
-		time.Sleep(5 * time.Millisecond)
+		select {
+		case k := <-s.accepts:
+			if h := s.accept(k); h != nil {
+				return h, nil
+			}
+		case <-s.done:
+			return nil, ErrShutdown
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	return fmt.Errorf("%w: stream %d of %d bytes", ErrTimeout, len(s.Stream()), n)
+}
+
+// accept hands out k's connection, unless it is gone or an earlier
+// backlog entry for k already handed it out.
+func (s *Server) accept(k shard.Key) *ServerConn {
+	sh := s.eng.Shard(k)
+	sh.Lock()
+	defer sh.Unlock()
+	c, ok := sh.Get(k)
+	if !ok || c.done != nil {
+		return nil
+	}
+	c.done = make(chan struct{})
+	c.signalDone()
+	return &ServerConn{sh: sh, c: c}
 }
 
 // Shutdown stops the server. It is idempotent and safe to call
@@ -598,3 +613,31 @@ func (s *Server) Shutdown() {
 	_ = s.sock.Close()
 	s.wg.Wait()
 }
+
+// A ServerConn is the handle of one server-side connection, from
+// Accept. Stream and Findings take only that connection's shard lock;
+// a connection torn down after it was accepted keeps its last state.
+type ServerConn struct {
+	sh *shard.Shard[*serverConn]
+	c  *serverConn
+}
+
+// Stream returns a copy of the application bytes placed so far.
+func (h *ServerConn) Stream() []byte {
+	h.sh.Lock()
+	defer h.sh.Unlock()
+	return append([]byte(nil), h.c.r.Stream()...)
+}
+
+// Findings returns the error detection findings so far.
+func (h *ServerConn) Findings() []errdet.Finding {
+	h.sh.Lock()
+	defer h.sh.Unlock()
+	return h.c.r.Findings()
+}
+
+// Done returns a channel that is closed once the close signal has
+// arrived and the verified TPDUs cover every element before the
+// close's C.SN: the whole stream is placed and verified. It never
+// closes on a connection torn down before then.
+func (h *ServerConn) Done() <-chan struct{} { return h.c.done }

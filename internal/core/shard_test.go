@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"reflect"
@@ -27,11 +28,11 @@ func fakePeer(i int) *net.UDPAddr {
 // multi-peer run — compared byte-for-byte across shard counts.
 type shardRunResult struct {
 	streams  map[string][]byte // per-connection placed bytes
-	findings []errdet.Finding  // primary connection's findings
+	findings []errdet.Finding  // first accepted connection's findings
 	tpdus    []string          // global OnTPDU order: "tid:verdict"
 	frames   []string          // global OnFrame order: "xid:len"
 	control  []string          // global reverse-path order: "port:len(datagram)"
-	verified int
+	verified int               // TPDUs verified OK, all connections
 	reaped   int
 	conns    int
 }
@@ -50,6 +51,9 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 		PollEvery: time.Hour, // no ticks during the run: fully synchronous
 		OnTPDU: func(tid uint32, v errdet.Verdict) {
 			res.tpdus = append(res.tpdus, fmt.Sprintf("%d:%v", tid, v))
+			if v == errdet.VerdictOK {
+				res.verified++
+			}
 		},
 		OnFrame: func(xid uint32, data []byte) {
 			res.frames = append(res.frames, fmt.Sprintf("%d:%d", xid, len(data)))
@@ -87,8 +91,8 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 	}
 	// Corrupt one data-chunk payload byte of peer 0's second datagram:
 	// that TPDU fails end-to-end verification and the run produces
-	// findings on the primary connection (peer 0 is established first;
-	// the packet envelope and chunk structure stay valid).
+	// findings on the first accepted connection (peer 0 is established
+	// first; the packet envelope and chunk structure stay valid).
 	{
 		p, err := packet.Decode(queues[0][1])
 		if err != nil {
@@ -129,8 +133,11 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 		key := fmt.Sprintf("%d@%s", cid, fakePeer(i).String())
 		res.streams[key] = srv.StreamOf(cid, fakePeer(i).String())
 	}
-	res.findings = srv.Findings()
-	res.verified = srv.VerifiedCount()
+	first, err := srv.Accept(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.findings = first.Findings()
 	res.reaped = srv.Reaped()
 	res.conns = srv.ConnCount()
 	return res

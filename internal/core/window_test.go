@@ -31,10 +31,8 @@ func TestWindowedTransfer(t *testing.T) {
 	if err := conn.WaitDrained(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.WaitClosed(len(data), 15*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(srv.Stream(), data) {
+	sc := acceptDone(t, srv)
+	if !bytes.Equal(sc.Stream(), data) {
 		t.Fatal("windowed transfer corrupted the stream")
 	}
 }
@@ -100,10 +98,8 @@ func TestRepairOverUDP(t *testing.T) {
 	if err := conn.WaitDrained(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.WaitClosed(len(data), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(srv.Stream(), data) {
+	sc := acceptDone(t, srv)
+	if !bytes.Equal(sc.Stream(), data) {
 		t.Fatal("stream mismatch")
 	}
 }
@@ -153,13 +149,9 @@ func TestBidirectional(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srvB.WaitClosed(len(dataAB), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := srvA.WaitClosed(len(dataBA), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(srvB.Stream(), dataAB) || !bytes.Equal(srvA.Stream(), dataBA) {
+	scB := acceptDone(t, srvB)
+	scA := acceptDone(t, srvA)
+	if !bytes.Equal(scB.Stream(), dataAB) || !bytes.Equal(scA.Stream(), dataBA) {
 		t.Fatal("bidirectional streams corrupted")
 	}
 }

@@ -193,10 +193,10 @@ func TestP9Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range tb.Rows {
-		if r.Cells[6] != "ok" {
-			t.Errorf("row %d (%s): parity %s", i, r.Cells[0], r.Cells[6])
+		if r.Cells[5] != "ok" {
+			t.Errorf("row %d (%s): parity %s", i, r.Cells[0], r.Cells[5])
 		}
-		for col := 1; col <= 4; col++ {
+		for col := 1; col <= 3; col++ {
 			if numCell(t, tb, i, col) <= 0 {
 				t.Errorf("row %d col %d: non-positive throughput", i, col)
 			}

@@ -14,9 +14,9 @@
 //
 // Determinism: shard assignment is a pure hash of the key, ticks are
 // counted (never read from a clock), and every cross-shard aggregate
-// — Tick's due set, Range, WithPrimary — merges shards in a fixed
-// order with key-sorted tie-breaking, so a seeded run is
-// bit-reproducible at any shard count.
+// — Tick's due set, Range — merges shards in a fixed order with
+// key-sorted tie-breaking, so a seeded run is bit-reproducible at any
+// shard count.
 package shard
 
 import (
@@ -84,12 +84,11 @@ type Config[C any] struct {
 // entry is the engine's per-connection bookkeeping around the caller's
 // connection value.
 type entry[C any] struct {
-	val         C
-	established int64  // engine-wide arrival order (primary selection)
-	lastActive  uint64 // tick of the last Touch (idle expiry)
-	pollArmed   bool   // a poll timer is scheduled or in flight
-	poll        timer
-	idle        timer
+	val        C
+	lastActive uint64 // tick of the last Touch (idle expiry)
+	pollArmed  bool   // a poll timer is scheduled or in flight
+	poll       timer
+	idle       timer
 }
 
 // A Shard owns one slice of the connection space: its table, its lock
@@ -109,7 +108,6 @@ type Engine[C any] struct {
 	shards []*Shard[C]
 	mask   uint64 // len(shards)-1 when power of two, else 0
 
-	seq     atomic.Int64 // establishment order, engine-wide
 	live    atomic.Int64 // live connections (admission control)
 	refused atomic.Int64 // establishments refused by MaxConns
 
@@ -197,11 +195,7 @@ func (s *Shard[C]) Establish(k Key, mk func() (C, error)) (C, error) {
 		s.eng.live.Add(-1)
 		return zero, err
 	}
-	en := &entry[C]{
-		val:         val,
-		established: s.eng.seq.Add(1),
-		lastActive:  s.wheel.now,
-	}
+	en := &entry[C]{val: val, lastActive: s.wheel.now}
 	en.poll = timer{key: k, kind: kindPoll}
 	en.idle = timer{key: k, kind: kindIdle}
 	s.conns[k] = en
@@ -258,9 +252,6 @@ func (s *Shard[C]) ArmPoll(k Key) {
 	en.pollArmed = true
 	s.wheel.schedule(&en.poll, s.wheel.now+1)
 }
-
-// Len returns the shard's connection count. Lock held.
-func (s *Shard[C]) Len() int { return len(s.conns) }
 
 // An Expired record reports one connection reaped by idle expiry.
 type Expired[C any] struct {
@@ -349,7 +340,7 @@ func dueLess[C any](a, b dueTimer[C]) bool {
 // Range calls fn for every live connection under its shard's lock,
 // shards in index order. Connections within a shard are visited in
 // map order: fn must be order-free (sums, counts) — anything
-// order-sensitive belongs in WithPrimary or a sorted collect.
+// order-sensitive belongs in a sorted collect.
 func (e *Engine[C]) Range(fn func(k Key, c C)) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
@@ -358,33 +349,4 @@ func (e *Engine[C]) Range(fn func(k Key, c C)) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// WithPrimary runs fn on the earliest-established live connection
-// while holding every shard lock (so the value cannot change or
-// disappear underneath fn), and reports whether one existed. fn must
-// not call back into the engine. Establishment order is an engine-wide
-// sequence, so the minimum is unique and the scan order-independent.
-func (e *Engine[C]) WithPrimary(fn func(c C)) bool {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range e.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	var best *entry[C]
-	for _, sh := range e.shards {
-		for _, en := range sh.conns { //lint:allow maprange min-reduction over the unique establishment sequence; order-independent
-			if best == nil || en.established < best.established {
-				best = en
-			}
-		}
-	}
-	if best == nil {
-		return false
-	}
-	fn(best.val)
-	return true
 }

@@ -178,8 +178,8 @@ func TestLookupTouches(t *testing.T) {
 	sh = e.Shard(missing)
 	sh.Lock()
 	defer sh.Unlock()
-	if _, ok := sh.Lookup(missing); ok || sh.Len() != 0 {
-		t.Fatalf("Lookup of a missing key: ok=%v, shard Len=%d; want false, 0", ok, sh.Len())
+	if _, ok := sh.Lookup(missing); ok || len(sh.conns) != 0 {
+		t.Fatalf("Lookup of a missing key: ok=%v, shard holds %d; want false, 0", ok, len(sh.conns))
 	}
 }
 
@@ -217,39 +217,6 @@ func TestPollRearm(t *testing.T) {
 	e.Tick()
 	if polls != 4 {
 		t.Fatalf("polls = %d, want 4 (re-arm after disarm)", polls)
-	}
-}
-
-// TestPrimarySelection pins primary = earliest established still live,
-// independent of shard layout and removal order.
-func TestPrimarySelection(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		e := New(Config[int]{Shards: shards})
-		keys := []Key{{30, "c"}, {10, "a"}, {20, "b"}}
-		for i, k := range keys {
-			establish(t, e, k, i) // values 0,1,2 in establishment order
-		}
-		got := -1
-		if !e.WithPrimary(func(v int) { got = v }) {
-			t.Fatal("WithPrimary found nothing")
-		}
-		if got != 0 {
-			t.Fatalf("shards=%d: primary = %d, want first-established (0)", shards, got)
-		}
-		sh := e.Shard(keys[0])
-		sh.Lock()
-		sh.Remove(keys[0])
-		sh.Unlock()
-		if !e.WithPrimary(func(v int) { got = v }) {
-			t.Fatal("WithPrimary found nothing after removal")
-		}
-		if got != 1 {
-			t.Fatalf("shards=%d: primary after removal = %d, want 1", shards, got)
-		}
-	}
-	e := New(Config[int]{Shards: 2})
-	if e.WithPrimary(func(int) {}) {
-		t.Fatal("WithPrimary on empty engine reported true")
 	}
 }
 

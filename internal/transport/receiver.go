@@ -91,9 +91,10 @@ type Receiver struct {
 
 	repaired int
 	reaped   int
-	verified int // TPDUs acknowledged (survives retirement)
-	pending  int // TPDUs tracked without a final verdict (NeedsPoll)
-	round    int // Poll rounds elapsed (telemetry timeline)
+	verified int    // TPDUs acknowledged (survives retirement)
+	covered  uint64 // elements of the acknowledged TPDUs (Complete)
+	pending  int    // TPDUs tracked without a final verdict (NeedsPoll)
+	round    int    // Poll rounds elapsed (telemetry timeline)
 
 	// tids and frames are the keyed tables, made on the first data
 	// chunk: one record per TPDU (by T.ID) and per external PDU (by
@@ -499,6 +500,9 @@ func (r *Receiver) after(t *tRec) {
 		if !t.acked {
 			t.acked = true
 			r.verified++
+			if lo, hi, ok := t.ed.Extent(); ok {
+				r.covered += hi - lo
+			}
 			if r.cfg.RetireVerified > 0 {
 				r.queueRetire(t)
 			}
@@ -716,6 +720,13 @@ func (r *Receiver) Closed() bool { return r.closed }
 // FinalCSN returns the element SN past the last data element, valid
 // once Closed.
 func (r *Receiver) FinalCSN() uint64 { return r.finalCSN }
+
+// Complete reports whether the close signal has arrived and the
+// acknowledged TPDUs cover every element before its C.SN: the whole
+// stream is placed and verified. The count is exact while
+// RetireVerified is 0; with retirement a retired TPDU verified again
+// after a lost ACK counts twice.
+func (r *Receiver) Complete() bool { return r.closed && r.covered >= r.finalCSN }
 
 // Verified reports whether TPDU tid verified OK (and its state is
 // still held: a retired TPDU reports false).

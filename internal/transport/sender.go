@@ -365,8 +365,9 @@ func (s *Sender) cutTPDU(n int) error {
 		}
 		cur = segEnd
 	}
-	// Drop consumed frame cuts.
-	var rest []uint64
+	// Drop consumed frame cuts, in place so the slice's capacity is
+	// reused.
+	rest := s.frameCuts[:0]
 	for _, cut := range s.frameCuts {
 		if cut > end {
 			rest = append(rest, cut)

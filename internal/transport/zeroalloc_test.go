@@ -67,6 +67,35 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSteadyStateFramedSendZeroAlloc is TestSteadyStateSendZeroAlloc
+// with every TPDU ending an application frame: EndFrame records a frame
+// cut per step and cutting the TPDU consumes it, still without
+// allocating.
+func TestSteadyStateFramedSendZeroAlloc(t *testing.T) {
+	s, step := newSteadySender(t)
+	framed := func() {
+		step()
+		s.EndFrame()
+	}
+	for i := 0; i < 64; i++ {
+		framed()
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the alloc count is pinned in the uninstrumented build")
+	}
+	xid := s.curXID
+	allocs := testing.AllocsPerRun(100, framed)
+	if allocs != 0 {
+		t.Errorf("framed steady-state send path allocates %.1f objects per TPDU, want 0", allocs)
+	}
+	if s.curXID == xid {
+		t.Fatal("measurement loop ended no frames — the harness is broken")
+	}
+	if s.Unacked() > 1 {
+		t.Fatalf("unacked backlog grew to %d; acks are not being consumed", s.Unacked())
+	}
+}
+
 // BenchmarkSteadyStateSend reports the allocation profile and cost of
 // one full TPDU round trip through the send path.
 func BenchmarkSteadyStateSend(b *testing.B) {

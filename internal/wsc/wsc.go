@@ -23,8 +23,6 @@ package wsc
 import (
 	"encoding/binary"
 	"errors"
-	"runtime"
-	"sync"
 
 	"chunks/internal/gf"
 )
@@ -128,10 +126,8 @@ func (a *Accumulator) AddRun(start uint64, syms []uint32) error {
 // harmless). Bytes are interpreted big-endian, 4 per symbol.
 //
 // The run goes through the fast gf byte kernel (CLMUL/AVX2 or the
-// portable shift-tree tables); runs of at least ShardBytes are split
-// across goroutines when GOMAXPROCS allows, each shard encoded
-// independently and folded in with the Combine algebra. Every path is
-// bit-identical to the pinned scalar kernel.
+// portable shift-tree tables), bit-identical to the pinned scalar
+// kernel.
 //
 //lint:hot
 func (a *Accumulator) AddBytes(start uint64, b []byte) error {
@@ -145,54 +141,10 @@ func (a *Accumulator) AddBytes(start uint64, b []byte) error {
 	if start > MaxPosition || start+uint64(n)-1 > MaxPosition {
 		return ErrPosition
 	}
-	if len(b) >= ShardBytes {
-		if shards := runtime.GOMAXPROCS(0); shards > 1 {
-			a.addBytesSharded(start, b, min(shards, maxShards))
-			return nil
-		}
-	}
 	acc, sum := gf.HornerSumBytes(b)
 	a.par.P0 ^= sum
 	a.par.P1 ^= gf.Mul(gf.AlphaPow(start), acc)
 	return nil
-}
-
-// ShardBytes is the run length from which AddBytes fans the kernel out
-// across goroutines. Below it the spawn/join cost exceeds the win.
-const ShardBytes = 64 << 10
-
-// maxShards caps the fan-out; past a few shards the kernel is memory
-// bound and more goroutines only add join latency.
-const maxShards = 8
-
-// addBytesSharded encodes shards of b concurrently, each into its own
-// Accumulator, and folds them in with Combine. Symbol positions are
-// absolute, so the fold order cannot affect the result (XOR is
-// commutative) — the output is deterministic and identical to the
-// serial path. Caller has validated positions and length.
-func (a *Accumulator) addBytesSharded(start uint64, b []byte, shards int) {
-	n := len(b) / SymbolSize
-	per := (n + shards - 1) / shards
-	accs := make([]Accumulator, shards) //lint:allow hotalloc parallel fan-out engages only at the sharding threshold, far above steady-state TPDU sizes
-	var wg sync.WaitGroup               //lint:allow hotalloc parallel fan-out engages only at the sharding threshold, far above steady-state TPDU sizes
-	for i := 0; i < shards; i++ {
-		lo := i * per
-		hi := min(lo+per, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(acc *Accumulator, pos uint64, seg []byte) { //lint:allow hotalloc parallel fan-out engages only at the sharding threshold, far above steady-state TPDU sizes
-			defer wg.Done()
-			h, sum := gf.HornerSumBytes(seg)
-			acc.par.P0 ^= sum
-			acc.par.P1 ^= gf.Mul(gf.AlphaPow(pos), h)
-		}(&accs[i], start+uint64(lo), b[lo*SymbolSize:hi*SymbolSize])
-	}
-	wg.Wait()
-	for i := range accs {
-		a.Combine(&accs[i])
-	}
 }
 
 // Combine folds another accumulator's parity in (disjoint-set union).
@@ -236,8 +188,8 @@ func EncodeBytesScalar(b []byte) (Parity, error) {
 }
 
 // EncodeBytesTable computes the same parity through the portable
-// shift-tree table kernel, bypassing both the SIMD kernel and the
-// sharded path (the P9 "table" column).
+// shift-tree table kernel, bypassing the SIMD kernel (the P9 "table"
+// column).
 func EncodeBytesTable(b []byte) (Parity, error) {
 	if len(b)%SymbolSize != 0 {
 		return Parity{}, errors.New("wsc: byte run not a multiple of symbol size")
@@ -247,29 +199,6 @@ func EncodeBytesTable(b []byte) (Parity, error) {
 	}
 	h, sum := gf.HornerSumBytesTable(b)
 	return Parity{P0: sum, P1: h}, nil
-}
-
-// EncodeBytesParallel computes the same parity with a forced shard
-// fan-out, regardless of run length or GOMAXPROCS (the P9 "sharded"
-// column; AddBytes applies the same split automatically past
-// ShardBytes). shards < 1 is treated as 1.
-func EncodeBytesParallel(b []byte, shards int) (Parity, error) {
-	if len(b)%SymbolSize != 0 {
-		return Parity{}, errors.New("wsc: byte run not a multiple of symbol size")
-	}
-	n := len(b) / SymbolSize
-	if n > 0 && uint64(n-1) > MaxPosition {
-		return Parity{}, ErrPosition
-	}
-	var a Accumulator
-	if shards < 2 || n < shards {
-		if err := a.AddBytes(0, b); err != nil {
-			return Parity{}, err
-		}
-		return a.Parity(), nil
-	}
-	a.addBytesSharded(0, b, shards)
-	return a.Parity(), nil
 }
 
 // Verify reports whether the accumulated parity of received data
