@@ -3,7 +3,6 @@ package chaos_test
 import (
 	"bytes"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"chunks/internal/chunk"
 	"chunks/internal/core"
 	"chunks/internal/packet"
+	"chunks/internal/telemetry"
 	"chunks/internal/vr"
 )
 
@@ -93,18 +93,14 @@ func TestForgeOverlapNoCandidate(t *testing.T) {
 // TestOverlapForgeRejectConnection drives the reject-connection policy
 // end to end over real sockets: every uplink datagram is shadowed by a
 // conflicting forgery, so the server must tear the connection down and
-// report it.
+// report it: counted as conns_rejected, recorded as a "rejected"
+// lifecycle event with the connection's C.ID.
 func TestOverlapForgeRejectConnection(t *testing.T) {
-	rejected := make(chan uint32, 16)
+	reg := telemetry.New(0)
 	srv, err := core.Serve("127.0.0.1:0", core.Config{
 		PollEvery:     3 * time.Millisecond,
 		OverlapPolicy: vr.RejectConnection,
-		OnConnRejected: func(cid uint32, _ net.Addr) {
-			select {
-			case rejected <- cid:
-			default:
-			}
-		},
+		Telemetry:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,17 +131,18 @@ func TestOverlapForgeRejectConnection(t *testing.T) {
 	_ = conn.Write(testData(4096, 13))
 	_ = conn.Close()
 
-	deadline := time.After(5 * time.Second)
-	select {
-	case cid := <-rejected:
-		if cid != 55 {
-			t.Fatalf("rejected cid = %d, want 55", cid)
+	rejected := func() int64 { return reg.Snapshot().Scopes["server"].Counters["conns_rejected"] }
+	for deadline := time.Now().Add(5 * time.Second); rejected() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("connection never rejected: forged=%d", relay.UpCounters().Forged)
 		}
-	case <-deadline:
-		t.Fatalf("connection never rejected: forged=%d rejectedConns=%d",
-			relay.UpCounters().Forged, srv.RejectedConns())
 	}
-	if srv.RejectedConns() == 0 {
-		t.Fatal("RejectedConns = 0 after OnConnRejected fired")
+	for _, ev := range reg.Ring().Snapshot() {
+		if ev.Kind == telemetry.EvRejected && ev.CID != 55 {
+			t.Fatalf("rejected event carries C.ID %d, want 55", ev.CID)
+		}
+	}
+	if got := reg.Ring().KindCounts()[telemetry.EvRejected]; got == 0 {
+		t.Fatal("conns_rejected counted but no rejected event recorded")
 	}
 }

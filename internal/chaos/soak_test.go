@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"net"
@@ -20,6 +21,25 @@ func testData(n int, seed int64) []byte {
 	b := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(b)
 	return b
+}
+
+// acceptFrom accepts srv's connections until the one cid established
+// from one of the sources froms, failing the test after ten seconds.
+func acceptFrom(t *testing.T, srv *core.Server, cid uint32, froms []net.Addr) *core.ServerConn {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for {
+		sc, err := srv.Accept(ctx)
+		if err != nil {
+			t.Fatalf("no connection %d from %v accepted: %v", cid, froms, err)
+		}
+		for _, from := range froms {
+			if sc.CID() == cid && sc.Peer().String() == from.String() {
+				return sc
+			}
+		}
+	}
 }
 
 // soakCase is one scripted fault schedule of the chaos soak.
@@ -243,28 +263,17 @@ func runSoak(t *testing.T, tc soakCase) {
 			t.Fatalf("recoverable schedule failed: write=%v drain=%v (up=%+v down=%+v)",
 				writeErr, drainErr, relay.UpCounters(), relay.DownCounters())
 		}
-		// Byte-exact delivery on the relayed connection (keyed by the
-		// relay's server-facing source address).
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			var got []byte
-			for _, back := range relay.BackAddrs() {
-				if s := srv.StreamOf(cid, back.String()); len(s) >= len(data) {
-					got = s
-					break
-				}
-			}
-			if got != nil {
-				if !bytes.Equal(got, data) {
-					t.Fatal("delivered stream differs from sent data")
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("stream never completed: %d conns, up=%+v",
-					srv.ConnCount(), relay.UpCounters())
-			}
-			time.Sleep(5 * time.Millisecond)
+		// Byte-exact delivery on the relayed connection (established
+		// from the relay's server-facing source address).
+		sc := acceptFrom(t, srv, cid, relay.BackAddrs())
+		select {
+		case <-sc.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stream never completed: %d conns, up=%+v",
+				srv.ConnCount(), relay.UpCounters())
+		}
+		if !bytes.Equal(sc.Stream(), data) {
+			t.Fatal("delivered stream differs from sent data")
 		}
 	}
 	if !tc.inflicted(relay.UpCounters(), relay.DownCounters()) {
@@ -387,7 +396,7 @@ func TestSpoofedSourceIsolatedThroughRelay(t *testing.T) {
 	if len(backs) != 1 {
 		t.Fatalf("relay sessions = %d, want 1", len(backs))
 	}
-	if got := srv.StreamOf(21, backs[0].String()); !bytes.Equal(got, data) {
+	if got := acceptFrom(t, srv, 21, backs).Stream(); !bytes.Equal(got, data) {
 		t.Fatal("real connection's stream corrupted by spoofing")
 	}
 }

@@ -75,7 +75,7 @@ func TestAcceptOrder(t *testing.T) {
 	order := []int{2, 0, 1}
 	for _, i := range order {
 		for _, d := range senderDatagrams(t, uint32(10+i), testData(64, int64(i))) {
-			srv.Inject(d, fakePeer(i))
+			inject(srv, d, fakePeer(i))
 		}
 	}
 	for _, i := range order {
@@ -94,7 +94,7 @@ func TestAcceptBacklogOverflow(t *testing.T) {
 	const extra = 3
 	for i := 0; i < acceptBacklog+extra; i++ {
 		for _, d := range senderDatagrams(t, uint32(i+1), testData(64, int64(i))) {
-			srv.Inject(d, fakePeer(i))
+			inject(srv, d, fakePeer(i))
 		}
 	}
 	if got := srv.ConnCount(); got != acceptBacklog+extra {
@@ -103,9 +103,8 @@ func TestAcceptBacklogOverflow(t *testing.T) {
 	if got := reg.Snapshot().Scopes["server"].Counters["accept_overflow"]; got != extra {
 		t.Fatalf("accept_overflow = %d, want %d", got, extra)
 	}
-	last := acceptBacklog + extra - 1
-	if got := srv.StreamOf(uint32(last+1), fakePeer(last).String()); string(got) != string(testData(64, int64(last))) {
-		t.Fatal("overflowed connection was not served")
+	if got := recvCounter(reg, "tpdus_verified"); got != acceptBacklog+extra {
+		t.Fatalf("tpdus_verified = %d, want %d: an overflowed connection was not served", got, acceptBacklog+extra)
 	}
 	for i := 0; i < acceptBacklog; i++ {
 		if got := acceptNow(t, srv).Stream(); string(got) != string(testData(64, int64(i))) {
@@ -123,9 +122,11 @@ func TestAcceptBacklogOverflow(t *testing.T) {
 // connections: one torn down before Accept (here by the
 // vr.RejectConnection policy) is skipped, and the next one returned.
 func TestAcceptSkipsTornDown(t *testing.T) {
+	reg := telemetry.New(0)
 	srv, err := Serve("127.0.0.1:0", Config{
 		PollEvery:     time.Hour,
 		OverlapPolicy: vr.RejectConnection,
+		Telemetry:     reg,
 		ControlOut:    func([]byte, *net.UDPAddr) {},
 	})
 	if err != nil {
@@ -154,13 +155,16 @@ func TestAcceptSkipsTornDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range append([][]byte{forgery}, dgrams...) {
-		srv.Inject(d, fakePeer(0))
+		inject(srv, d, fakePeer(0))
 	}
-	if got := srv.RejectedConns(); got != 1 {
-		t.Fatalf("RejectedConns = %d, want 1", got)
+	if got := reg.Snapshot().Scopes["server"].Counters["conns_rejected"]; got != 1 {
+		t.Fatalf("conns_rejected = %d, want 1", got)
+	}
+	if got := eventCIDs(reg, telemetry.EvRejected); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("rejected events carry C.IDs %v, want [1]", got)
 	}
 	for _, d := range senderDatagrams(t, 2, testData(64, 2)) {
-		srv.Inject(d, fakePeer(1))
+		inject(srv, d, fakePeer(1))
 	}
 	if got := acceptNow(t, srv).Stream(); string(got) != string(testData(64, 2)) {
 		t.Fatal("Accept did not skip the torn-down connection")
@@ -188,19 +192,19 @@ func TestDoneWaitsForLastTPDU(t *testing.T) {
 	}
 
 	for _, d := range dgrams[:early] {
-		srv.Inject(d, fakePeer(0))
+		inject(srv, d, fakePeer(0))
 	}
 	sc := acceptNow(t, srv)
 	done := sc.Done()
 	if isClosed(done) {
 		t.Fatal("Done closed before the close signal")
 	}
-	srv.Inject(closing, fakePeer(0))
+	inject(srv, closing, fakePeer(0))
 	if isClosed(done) || isClosed(sc.Done()) {
 		t.Fatal("Done closed with the last TPDU outstanding")
 	}
 	for _, d := range last {
-		srv.Inject(d, fakePeer(0))
+		inject(srv, d, fakePeer(0))
 	}
 	if !isClosed(done) || !isClosed(sc.Done()) {
 		t.Fatal("Done still open after the last TPDU verified")
@@ -221,7 +225,7 @@ func TestAcceptCancelAndShutdown(t *testing.T) {
 		t.Fatalf("Accept on a canceled context = %v, want context.Canceled", err)
 	}
 	for _, d := range senderDatagrams(t, 1, testData(64, 1)) {
-		srv.Inject(d, fakePeer(0))
+		inject(srv, d, fakePeer(0))
 	}
 	srv.Shutdown()
 	if _, err := srv.Accept(context.Background()); !errors.Is(err, ErrShutdown) {
@@ -231,7 +235,8 @@ func TestAcceptCancelAndShutdown(t *testing.T) {
 
 // TestAcceptHandleConcurrent reads a handle from several goroutines
 // while its connection ingests: under -race this is the test that sees
-// a handle method or the Done signal skip the shard lock.
+// a handle method or the Done signal skip the shard lock. CID and Peer
+// take no lock: they are fixed at establishment.
 func TestAcceptHandleConcurrent(t *testing.T) {
 	srv := injectServer(t, nil)
 	var dgrams [][]byte
@@ -244,7 +249,7 @@ func TestAcceptHandleConcurrent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv.Inject(dgrams[0], fakePeer(0))
+	inject(srv, dgrams[0], fakePeer(0))
 	sc := acceptNow(t, srv)
 
 	var wg sync.WaitGroup
@@ -252,6 +257,7 @@ func TestAcceptHandleConcurrent(t *testing.T) {
 		func() { _ = sc.Stream() },
 		func() { _ = sc.Findings() },
 		func() { <-sc.Done() },
+		func() { _, _ = sc.CID(), sc.Peer().String() },
 	} {
 		wg.Add(1)
 		go func() {
@@ -262,7 +268,7 @@ func TestAcceptHandleConcurrent(t *testing.T) {
 		}()
 	}
 	for _, d := range dgrams[1:] {
-		srv.Inject(d, fakePeer(0))
+		inject(srv, d, fakePeer(0))
 	}
 	wg.Wait()
 	if got := sc.Stream(); string(got) != string(data) {

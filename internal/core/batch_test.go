@@ -58,8 +58,9 @@ func batchFrom(c int) netip.AddrPort {
 }
 
 // runBatchInjection drives the full workload through a fresh server in
-// bursts of batchSize datagrams (batchSize 0 selects the legacy
-// one-datagram Inject API) and returns the per-connection streams plus
+// bursts of batchSize datagrams (batchSize 0 selects the scalar
+// reference: one InjectBatch call per datagram, each with a fresh
+// decode scratch) and returns the per-connection streams plus
 // the whole telemetry snapshot, serialized for comparison. PollEvery is
 // huge so injection order alone drives every observable.
 func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nConns, batchSize int) (map[uint32][]byte, string) {
@@ -78,7 +79,7 @@ func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nC
 
 	if batchSize == 0 {
 		for i := range dgrams {
-			srv.Inject(dgrams[i], net.UDPAddrFromAddrPort(froms[i]))
+			inject(srv, dgrams[i], froms[i])
 		}
 	} else {
 		for i := 0; i < len(dgrams); i += batchSize {
@@ -87,10 +88,11 @@ func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nC
 		}
 	}
 
+	conns := acceptAll(t, srv, nConns)
 	streams := make(map[uint32][]byte, nConns)
 	for c := 0; c < nConns; c++ {
 		cid := uint32(c + 1)
-		st := srv.StreamOf(cid, batchFrom(c).String())
+		st := conns[connKey(cid, batchFrom(c))].Stream()
 		if len(st) == 0 {
 			t.Fatalf("batchSize=%d: connection %d has no stream", batchSize, cid)
 		}
@@ -106,8 +108,8 @@ func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nC
 // TestBatchDeterminism pins that the batch width of the ingestion path
 // is invisible to the protocol: the same seeded datagram schedule
 // produces byte-identical streams and an identical telemetry snapshot
-// whether datagrams arrive one at a time through the legacy Inject or
-// in bursts of 1, 8 or 64 through the shared-scratch batched path.
+// whether datagrams arrive one call at a time or in bursts of 1, 8 or
+// 64 through the shared-scratch batched path.
 func TestBatchDeterminism(t *testing.T) {
 	const nConns = 4
 	dgrams, froms := genBatchWorkload(t, nConns, 40)

@@ -57,7 +57,7 @@ func TestControlCoalesce(t *testing.T) {
 		p := &peers[i]
 		p.ds = senderDatagrams(t, p.cid, writes...)
 		for _, d := range p.ds {
-			srv.Inject(d, net.UDPAddrFromAddrPort(p.from))
+			inject(srv, d, p.from)
 		}
 	}
 

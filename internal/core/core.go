@@ -69,24 +69,19 @@ type Config struct {
 	// WaitDrained. 0 means unlimited (retry forever).
 	MaxRetries int
 	// InitialRTO is the retransmission timeout before the first RTT
-	// sample; 0 means 3*PollEvery (matching the legacy
-	// RetransmitAfter=3 poll rounds).
+	// sample; 0 means 3*PollEvery (the three poll rounds an unacked
+	// TPDU waits on the transport's round-based Poll path).
 	InitialRTO time.Duration
 	// MinRTO/MaxRTO clamp the adaptive timeout; 0 means PollEvery and
 	// 2s respectively.
 	MinRTO time.Duration
 	MaxRTO time.Duration
-	// OnPeerDead, when set on the Dial side, fires once when the
-	// sender gives up on the peer (MaxRetries exhausted).
-	OnPeerDead func(err error)
 
 	// IdleTimeout, when > 0, expires server-side connections that
 	// receive no datagrams for that long; expired connections are
-	// forgotten (their memory freed) and OnConnExpired fires.
+	// forgotten (their memory freed), counted as "conns_expired" and
+	// recorded as an "expired" lifecycle event.
 	IdleTimeout time.Duration
-	// OnConnExpired, when set on the Serve side, fires once per
-	// expired connection with its connection ID and peer address.
-	OnConnExpired func(cid uint32, peer net.Addr)
 	// ReapAfter, when > 0, drops receiver-side state of an incomplete
 	// TPDU that makes no progress for ReapAfter poll rounds, bounding
 	// the memory a lossy or dead peer can pin; 0 means 250 rounds
@@ -95,11 +90,9 @@ type Config struct {
 	// OverlapPolicy selects the receive-side conflicting-overlap
 	// policy (see transport.ReceiverConfig.OverlapPolicy). Under
 	// vr.RejectConnection a conflicting overlap tears the server-side
-	// connection down; OnConnRejected fires with its identity.
+	// connection down ("conns_rejected" counted, a "rejected"
+	// lifecycle event recorded with its C.ID).
 	OverlapPolicy vr.Policy
-	// OnConnRejected, when set on the Serve side, fires once per
-	// connection torn down by the vr.RejectConnection overlap policy.
-	OnConnRejected func(cid uint32, peer net.Addr)
 
 	// OnFrame and OnTPDU are receive-side delivery callbacks.
 	OnFrame func(xid uint32, data []byte)
@@ -126,13 +119,10 @@ type Config struct {
 	Shards int
 	// MaxConns, when > 0, bounds live server-side connections:
 	// establishment past the cap is refused (datagram dropped,
-	// "conns_refused" counted, OnConnRefused fired) instead of
-	// allocating receiver state for arbitrarily many spoofed
-	// (C.ID, source) identities.
+	// "conns_refused" counted, a "refused" lifecycle event recorded
+	// with its C.ID) instead of allocating receiver state for
+	// arbitrarily many spoofed (C.ID, source) identities.
 	MaxConns int
-	// OnConnRefused, when set on the Serve side, fires once per refused
-	// establishment with the identity that was turned away.
-	OnConnRefused func(cid uint32, peer net.Addr)
 	// Readers is the number of concurrent UDP read goroutines on the
 	// Serve side; 0 means 1. Useful with Shards > 1: independent
 	// readers keep multiple shards busy concurrently.
@@ -142,12 +132,11 @@ type Config struct {
 	// callback instead of the socket. From the read loop it is called
 	// once per envelope at the end of each receive batch, and an
 	// envelope may carry several control chunks of one connection;
-	// Inject and InjectBatch still call it once per control datagram,
-	// as it is produced. In-process harnesses pair it with
-	// Server.Inject to drive the engine without socket I/O. The
-	// datagram is valid only for the duration of the call — its buffer
-	// is recycled when the callback returns — so a callback that keeps
-	// it must copy it.
+	// InjectBatch still calls it once per control datagram, as it is
+	// produced. In-process harnesses pair it with Server.InjectBatch
+	// to drive the engine without socket I/O. The datagram is valid
+	// only for the duration of the call — its buffer is recycled when
+	// the callback returns — so a callback that keeps it must copy it.
 	ControlOut func(datagram []byte, peer *net.UDPAddr)
 }
 
@@ -206,9 +195,6 @@ type Conn struct {
 	done    chan struct{}
 	wg      sync.WaitGroup
 
-	onPeerDead func(error)
-	deadOnce   sync.Once
-
 	telStalls  *telemetry.Counter // Writes that blocked on the window
 	telUnacked *telemetry.Gauge   // TPDUs in flight (peak = max occupancy)
 }
@@ -231,7 +217,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	sink := cfg.Telemetry.Sink(fmt.Sprintf("conn.%d", cfg.CID))
 	c := &Conn{
 		sock: sock, window: cfg.Window, done: make(chan struct{}),
-		epoch: time.Now(), onPeerDead: cfg.OnPeerDead, //lint:allow detrand connection epoch: the one sanctioned wall-clock anchor; all RTT math is relative to it
+		epoch:      time.Now(), //lint:allow detrand connection epoch: the one sanctioned wall-clock anchor; all RTT math is relative to it
 		telStalls:  sink.Counter("window_stalls"),
 		telUnacked: sink.Gauge("tpdus_unacked"),
 	}
@@ -288,11 +274,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 					c.dead = ErrPeerDead
 					c.cond.Broadcast()
 				}
-				deadErr := c.dead
 				c.mu.Unlock()
-				if deadErr != nil {
-					c.firePeerDead(deadErr)
-				}
 			}
 		}
 	}()
@@ -315,14 +297,6 @@ func (c *Conn) flushPending() {
 		c.pending[i] = nil
 	}
 	c.pending = c.pending[:0]
-}
-
-func (c *Conn) firePeerDead(err error) {
-	c.deadOnce.Do(func() {
-		if c.onPeerDead != nil {
-			c.onPeerDead(err)
-		}
-	})
 }
 
 // handleControl feeds one control datagram's ACK/NACK chunks to the

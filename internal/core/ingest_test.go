@@ -81,12 +81,12 @@ func TestInjectBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestPeerKeyEquivalence pins the connection-table key across the
-// ingestion paths: IPv6, IPv4-mapped and IPv4 sources reach one
-// connection whether their datagrams come through Inject or
-// InjectBatch, and StreamOf finds it by the "ip:port" text
-// (*net.UDPAddr).String() reports — mapped sources unmapped. The long
-// IPv6 source exceeds the stack conversion buffer and takes the heap.
+// TestPeerKeyEquivalence pins the connection-table key: IPv6,
+// IPv4-mapped and IPv4 sources reach one connection whether their
+// datagrams come alone or in a batch, and its handle's Peer reports
+// the "ip:port" text (*net.UDPAddr).String() gives — mapped sources
+// unmapped. The long IPv6 source exceeds the stack conversion buffer
+// and takes the heap.
 func TestPeerKeyEquivalence(t *testing.T) {
 	for _, tc := range []struct{ from, key string }{
 		{"[2001:db8::7]:4242", "[2001:db8::7]:4242"},
@@ -109,18 +109,21 @@ func TestPeerKeyEquivalence(t *testing.T) {
 			const cid = 9
 			data := testData(4*64, 5)
 			dgrams := senderDatagrams(t, cid, data[:64], data[64:128], data[128:192], data[192:])
-			for i, d := range dgrams {
-				if i%2 == 0 {
-					srv.Inject(d, udp)
-				} else {
-					srv.InjectBatch(dgrams[i:i+1], []netip.AddrPort{ap})
-				}
+			froms := make([]netip.AddrPort, len(dgrams)-1)
+			for i := range froms {
+				froms[i] = ap
 			}
+			inject(srv, dgrams[0], ap)
+			srv.InjectBatch(dgrams[1:], froms)
 			if got := srv.ConnCount(); got != 1 {
-				t.Fatalf("ConnCount = %d, want 1: Inject and InjectBatch keyed the source differently", got)
+				t.Fatalf("ConnCount = %d, want 1: lone and batched datagrams keyed the source differently", got)
 			}
-			if got := srv.StreamOf(cid, tc.key); !bytes.Equal(got, data) {
-				t.Fatalf("StreamOf(%d, %q) = %d bytes, want the %d sent", cid, tc.key, len(got), len(data))
+			sc := acceptNow(t, srv)
+			if got := sc.Peer().String(); sc.CID() != cid || got != tc.key {
+				t.Fatalf("accepted (%d, %q), want (%d, %q)", sc.CID(), got, cid, tc.key)
+			}
+			if got := sc.Stream(); !bytes.Equal(got, data) {
+				t.Fatalf("stream = %d bytes, want the %d sent", len(got), len(data))
 			}
 		})
 	}

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"chunks/internal/telemetry"
 	"chunks/internal/transport"
 )
 
@@ -76,27 +77,31 @@ func TestSpoofCannotHijackControl(t *testing.T) {
 	if err := conn.WaitDrained(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Wait on the real connection by its key: the spoofer's datagrams
-	// may establish first, so the first accepted connection can be the
-	// spoofed one.
-	real := srv.StreamOf(7, conn.LocalAddr().String())
-	for deadline := time.Now().Add(10 * time.Second); len(real) < len(data) && time.Now().Before(deadline); {
-		time.Sleep(5 * time.Millisecond)
-		real = srv.StreamOf(7, conn.LocalAddr().String())
+	// Find the real connection by its identity: the spoofer's
+	// datagrams may establish first, so the first accepted connection
+	// can be the spoofed one.
+	conns := acceptAll(t, srv, 2)
+	real, spoofed := conns[connKey(7, conn.LocalAddr())], conns[connKey(7, spoofer.LocalAddr())]
+	if real == nil || spoofed == nil {
+		t.Fatalf("accepted %v, want the real and the spoofed connection", conns)
+	}
+	select {
+	case <-real.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("real connection never completed")
 	}
 	close(stop)
 	wg.Wait()
 
 	// The real connection delivered byte-exactly.
-	if !bytes.Equal(real, data) {
+	if !bytes.Equal(real.Stream(), data) {
 		t.Fatal("spoofing corrupted the real connection's stream")
 	}
 	// The spoofer got its own connection, isolated from the real one.
 	if got := srv.ConnCount(); got != 2 {
 		t.Fatalf("ConnCount = %d, want 2 (real + spoofed)", got)
 	}
-	spoofed := srv.StreamOf(7, spoofer.LocalAddr().String())
-	if bytes.Equal(spoofed, data) {
+	if bytes.Equal(spoofed.Stream(), data) {
 		t.Fatal("spoofed connection shares the real stream")
 	}
 }
@@ -142,30 +147,24 @@ func TestMultiPeer(t *testing.T) {
 	if got := srv.ConnCount(); got != 2 {
 		t.Fatalf("ConnCount = %d, want 2", got)
 	}
-	gotA := srv.StreamOf(1, connA.LocalAddr().String())
-	gotB := srv.StreamOf(2, connB.LocalAddr().String())
-	if !bytes.Equal(gotA, dataA) {
+	conns := acceptAll(t, srv, 2)
+	if !bytes.Equal(conns[connKey(1, connA.LocalAddr())].Stream(), dataA) {
 		t.Fatal("peer A stream mismatch")
 	}
-	if !bytes.Equal(gotB, dataB) {
+	if !bytes.Equal(conns[connKey(2, connB.LocalAddr())].Stream(), dataB) {
 		t.Fatal("peer B stream mismatch")
 	}
 }
 
 // TestIdleExpiry: a connection that goes quiet is reaped after
-// IdleTimeout and OnConnExpired fires with its identity.
+// IdleTimeout, counted as conns_expired and recorded as an "expired"
+// lifecycle event with its C.ID.
 func TestIdleExpiry(t *testing.T) {
-	type expiry struct {
-		cid  uint32
-		addr string
-	}
-	expc := make(chan expiry, 4)
+	reg := telemetry.New(0)
 	srv, err := Serve("127.0.0.1:0", Config{
 		PollEvery:   5 * time.Millisecond,
 		IdleTimeout: 80 * time.Millisecond,
-		OnConnExpired: func(cid uint32, peer net.Addr) {
-			expc <- expiry{cid: cid, addr: peer.String()}
-		},
+		Telemetry:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,30 +185,35 @@ func TestIdleExpiry(t *testing.T) {
 	if err := conn.WaitDrained(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	localAddr := conn.LocalAddr().String()
 	if got := srv.ConnCount(); got != 1 {
 		t.Fatalf("ConnCount = %d before expiry, want 1", got)
 	}
+	sc := acceptNow(t, srv)
+	if sc.CID() != 9 || sc.Peer().String() != conn.LocalAddr().String() {
+		t.Fatalf("accepted (%d, %s), want (9, %s)", sc.CID(), sc.Peer(), conn.LocalAddr())
+	}
 
-	select {
-	case e := <-expc:
-		if e.cid != 9 || e.addr != localAddr {
-			t.Fatalf("expired (%d, %s), want (9, %s)", e.cid, e.addr, localAddr)
+	expired := func() int64 { return reg.Snapshot().Scopes["server"].Counters["conns_expired"] }
+	for deadline := time.Now().Add(5 * time.Second); expired() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("idle connection never expired")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("idle connection never expired")
 	}
 	if got := srv.ConnCount(); got != 0 {
 		t.Fatalf("ConnCount = %d after expiry, want 0", got)
 	}
-	if got := srv.Expired(); got != 1 {
-		t.Fatalf("Expired() = %d, want 1", got)
+	if got := expired(); got != 1 {
+		t.Fatalf("conns_expired = %d, want 1", got)
+	}
+	if got := eventCIDs(reg, telemetry.EvExpired); !reflect.DeepEqual(got, []uint32{9}) {
+		t.Fatalf("expired events carry C.IDs %v, want [9]", got)
 	}
 }
 
 // TestPeerDeadSurfaced: a sender talking into a black hole with
-// MaxRetries set backs off exponentially, gives up, fires OnPeerDead
-// once, and surfaces ErrPeerDead through WaitDrained and Write.
+// MaxRetries set backs off exponentially, gives up, records a
+// "peer_dead" lifecycle event, and surfaces ErrPeerDead through
+// WaitDrained and Write.
 func TestPeerDeadSurfaced(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", Config{})
 	if err != nil {
@@ -218,14 +222,14 @@ func TestPeerDeadSurfaced(t *testing.T) {
 	addr := srv.Addr().String()
 	srv.Shutdown() // black hole
 
-	var deadFired atomic.Int32
+	reg := telemetry.New(0)
 	conn, err := Dial(addr, Config{
 		CID: 4, TPDUElems: 16,
 		PollEvery:  2 * time.Millisecond,
 		InitialRTO: 5 * time.Millisecond,
 		MinRTO:     5 * time.Millisecond,
 		MaxRetries: 4,
-		OnPeerDead: func(err error) { deadFired.Add(1) },
+		Telemetry:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,8 +244,8 @@ func TestPeerDeadSurfaced(t *testing.T) {
 	if !errors.Is(err, ErrPeerDead) {
 		t.Fatalf("WaitDrained = %v, want ErrPeerDead", err)
 	}
-	if got := deadFired.Load(); got != 1 {
-		t.Fatalf("OnPeerDead fired %d times, want 1", got)
+	if got := eventCIDs(reg, telemetry.EvPeerDead); len(got) == 0 || got[0] != 4 {
+		t.Fatalf("peer_dead events carry C.IDs %v, want 4", got)
 	}
 	// The recorded timeline shows monotonically growing intervals.
 	log := conn.RetransmitTimeline()

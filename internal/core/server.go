@@ -10,7 +10,6 @@ import (
 	"net/netip"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"chunks/internal/batch"
@@ -26,8 +25,8 @@ type serverConn struct {
 	r    *transport.Receiver
 	peer *net.UDPAddr // control destination, bound at establishment
 	// q is the control queue of the read loop routing this
-	// connection's current chunk run, nil outside one (Inject,
-	// InjectBatch, tick-loop polls), where control is sent at once.
+	// connection's current chunk run, nil outside one (InjectBatch,
+	// tick-loop polls), where control is sent at once.
 	// Set and cleared under the connection's shard lock.
 	q *ctrlQueue
 	// done is ServerConn.Done's channel. Accept makes it, once, under
@@ -113,8 +112,6 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	idleTicks uint64
-	expired   atomic.Int64 // connections reaped by idle expiry
-	rejected  atomic.Int64 // connections torn down by vr.RejectConnection
 
 	shardSinks []telemetry.Sink // per-shard aggregate receiver sinks
 
@@ -223,8 +220,7 @@ func (s *Server) receiverConfig() transport.ReceiverConfig {
 // establish builds and admits the connection for key. Called with
 // key's shard locked; key.Addr must be heap-owned, since the table and
 // the receiver closure keep it. On admission refusal or setup failure
-// it returns nil and the reason; the caller drops the chunks and fires
-// any callback outside the lock.
+// it returns nil and the reason; the caller drops the chunks.
 func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from netip.AddrPort) (*serverConn, error) {
 	peer := net.UDPAddrFromAddrPort(netip.AddrPortFrom(from.Addr().Unmap(), from.Port()))
 	c, err := sh.Establish(key, func() (*serverConn, error) {
@@ -256,6 +252,7 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 	if err != nil {
 		if errors.Is(err, shard.ErrMaxConns) {
 			s.telRefused.Inc()
+			s.telRing.Record(telemetry.EvRefused, key.CID, 0, 0, 0)
 		} else {
 			// The config was validated in Serve; a failure here is an
 			// invariant violation, not a droppable datagram: make it
@@ -376,22 +373,14 @@ func (s *Server) recvErr(err error, backoff *time.Duration) bool {
 	}
 }
 
-// Inject ingests one datagram as if it had arrived on the UDP socket
-// from the given source — the in-process ("pipe") ingestion path.
+// InjectBatch ingests a burst of datagrams as if they had arrived on
+// the UDP socket, sharing one decode scratch — the in-process ("pipe")
+// twin of the batched read loop. froms[i] is the source of dgrams[i].
 // Safe for concurrent callers: each chunk is routed to its (C.ID,
 // source) connection's shard, and only that shard's lock is taken.
 // Tests and the benchmark's conn_scale workload drive the sharded
-// engine through Inject/InjectBatch without socket I/O;
-// Config.ControlOut captures the reverse path.
-func (s *Server) Inject(datagram []byte, from *net.UDPAddr) {
-	var dec packet.Packet
-	s.ingest(datagram, from.AddrPort(), &dec, nil)
-}
-
-// InjectBatch ingests a burst of datagrams sharing one decode scratch —
-// the in-process twin of the batched read loop, for tests and
-// experiments that drive the engine without socket I/O. froms[i] is
-// the source of dgrams[i].
+// engine through it without socket I/O; Config.ControlOut captures
+// the reverse path.
 func (s *Server) InjectBatch(dgrams [][]byte, froms []netip.AddrPort) {
 	var dec packet.Packet
 	for i := range dgrams {
@@ -400,9 +389,9 @@ func (s *Server) InjectBatch(dgrams [][]byte, froms []netip.AddrPort) {
 }
 
 // ingest decodes one datagram into the caller's scratch and routes its
-// chunks: the one ingestion path of the read loop, Inject and
-// InjectBatch. Control the chunks provoke goes into q, or out at once
-// when q is nil. The connection-table key is the "ip:port" text
+// chunks: the one ingestion path of the read loop and InjectBatch.
+// Control the chunks provoke goes into q, or out at once when q is
+// nil. The connection-table key is the "ip:port" text
 // (*net.UDPAddr).String() reports for the source, IPv4-mapped sources
 // unmapped. It is formatted into a stack buffer and route does not let
 // it escape, so ingestion of a known peer's datagram allocates nothing
@@ -418,21 +407,11 @@ func (s *Server) ingest(datagram []byte, from netip.AddrPort, dec *packet.Packet
 	s.route(dec, string(key), from, q)
 }
 
-// connEvent defers a connection-lifecycle callback until the shard
-// locks are released.
-type connEvent struct {
-	cid  uint32
-	peer net.Addr
-	fire func(cid uint32, peer net.Addr)
-}
-
 // route walks one decoded packet's chunks into their (C.ID, source)
 // connections. addr is the connection-table key for from; it must not
 // escape (ingest builds it on the stack), so establishment clones it.
 // Each connection's control goes to q for the run it handles.
 func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort, q *ctrlQueue) {
-	var events []connEvent
-
 	// Route each chunk to the (C.ID, source) connection. Packets are
 	// usually single-connection, so handle runs of equal C.ID under
 	// one shard lock acquisition.
@@ -456,9 +435,6 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort, q *ct
 			var err error
 			if c, err = s.establish(sh, shard.Key{CID: cid, Addr: strings.Clone(addr)}, from); err != nil {
 				sh.Unlock()
-				if errors.Is(err, shard.ErrMaxConns) && s.cfg.OnConnRefused != nil {
-					events = append(events, connEvent{cid: cid, peer: net.UDPAddrFromAddrPort(from), fire: s.cfg.OnConnRefused})
-				}
 				i = j
 				continue
 			}
@@ -470,12 +446,9 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort, q *ct
 				// the connection down and drop the rest of the packet
 				// for it. A later packet re-establishes fresh state.
 				sh.Remove(key)
-				s.rejected.Add(1)
 				s.telRejected.Inc()
+				s.telRing.Record(telemetry.EvRejected, cid, 0, 0, 0)
 				s.telLive.Set(int64(s.eng.Live()))
-				if s.cfg.OnConnRejected != nil {
-					events = append(events, connEvent{cid: cid, peer: c.peer, fire: s.cfg.OnConnRejected})
-				}
 				droppedCID, dropped = cid, true
 				i = j
 				break
@@ -488,14 +461,11 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort, q *ct
 		}
 		sh.Unlock()
 	}
-	for _, ev := range events {
-		ev.fire(ev.cid, ev.peer)
-	}
 }
 
 // tickLoop advances the shard engine once per PollEvery: each tick
 // serves only the due timers (receiver polls, idle leases) from the
-// shards' wheels, then fires expiry callbacks outside the locks.
+// shards' wheels, then counts and records the expired connections.
 func (s *Server) tickLoop() {
 	defer s.wg.Done()
 	tick := time.NewTicker(s.cfg.PollEvery)
@@ -510,16 +480,10 @@ func (s *Server) tickLoop() {
 				continue
 			}
 			for _, e := range expired {
-				s.expired.Add(1)
 				s.telExpired.Inc()
 				s.telRing.Record(telemetry.EvExpired, e.Key.CID, 0, 0, 0)
 			}
 			s.telLive.Set(int64(s.eng.Live()))
-			if s.cfg.OnConnExpired != nil {
-				for _, e := range expired {
-					s.cfg.OnConnExpired(e.Key.CID, e.Val.peer)
-				}
-			}
 		}
 	}
 }
@@ -529,38 +493,6 @@ func (s *Server) Addr() net.Addr { return s.sock.LocalAddr() }
 
 // ConnCount returns the number of live connections.
 func (s *Server) ConnCount() int { return s.eng.Live() }
-
-// Expired returns how many connections idle expiry has reaped.
-func (s *Server) Expired() int { return int(s.expired.Load()) }
-
-// RejectedConns returns how many connections the vr.RejectConnection
-// overlap policy has torn down.
-func (s *Server) RejectedConns() int { return int(s.rejected.Load()) }
-
-// RefusedConns returns how many connection establishments admission
-// control (Config.MaxConns) refused.
-func (s *Server) RefusedConns() int { return s.eng.Refused() }
-
-// StreamOf returns a copy of the stream of the connection established
-// by cid from addr (the exact source "ip:port"), or nil.
-func (s *Server) StreamOf(cid uint32, addr string) []byte {
-	key := shard.Key{CID: cid, Addr: addr}
-	sh := s.eng.Shard(key)
-	sh.Lock()
-	defer sh.Unlock()
-	if c, ok := sh.Get(key); ok {
-		return append([]byte(nil), c.r.Stream()...)
-	}
-	return nil
-}
-
-// Reaped returns how many stale incomplete TPDUs were dropped across
-// all connections.
-func (s *Server) Reaped() int {
-	n := 0
-	s.eng.Range(func(_ shard.Key, c *serverConn) { n += c.r.Reaped() })
-	return n
-}
 
 // Accept returns the next connection's handle in establishment order,
 // like net.Listener.Accept. A connection established while the backlog
@@ -601,7 +533,7 @@ func (s *Server) accept(k shard.Key) *ServerConn {
 	}
 	c.done = make(chan struct{})
 	c.signalDone()
-	return &ServerConn{sh: sh, c: c}
+	return &ServerConn{sh: sh, c: c, cid: k.CID}
 }
 
 // Shutdown stops the server. It is idempotent and safe to call
@@ -616,11 +548,20 @@ func (s *Server) Shutdown() {
 
 // A ServerConn is the handle of one server-side connection, from
 // Accept. Stream and Findings take only that connection's shard lock;
-// a connection torn down after it was accepted keeps its last state.
+// CID and Peer are fixed at establishment and take none. A connection
+// torn down after it was accepted keeps its last state.
 type ServerConn struct {
-	sh *shard.Shard[*serverConn]
-	c  *serverConn
+	sh  *shard.Shard[*serverConn]
+	c   *serverConn
+	cid uint32
 }
+
+// CID returns the connection ID the connection was established with.
+func (h *ServerConn) CID() uint32 { return h.cid }
+
+// Peer returns the source address the connection was established from;
+// its control chunks go there.
+func (h *ServerConn) Peer() net.Addr { return h.c.peer }
 
 // Stream returns a copy of the application bytes placed so far.
 func (h *ServerConn) Stream() []byte {

@@ -5,9 +5,10 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/netip"
 	"reflect"
 	"sort"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,8 +21,50 @@ import (
 )
 
 // fakePeer builds a deterministic in-process source address.
-func fakePeer(i int) *net.UDPAddr {
-	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 20000 + i}
+func fakePeer(i int) netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(20000+i))
+}
+
+// inject ingests one datagram from the given source.
+func inject(srv *Server, d []byte, from netip.AddrPort) {
+	srv.InjectBatch([][]byte{d}, []netip.AddrPort{from})
+}
+
+// connKey names a connection by its identity: "C.ID@source".
+func connKey(cid uint32, peer fmt.Stringer) string { return fmt.Sprintf("%d@%s", cid, peer) }
+
+// acceptAll accepts n connections and indexes them by connKey.
+func acceptAll(t *testing.T, srv *Server, n int) map[string]*ServerConn {
+	t.Helper()
+	conns := make(map[string]*ServerConn, n)
+	for i := 0; i < n; i++ {
+		sc := acceptNow(t, srv)
+		conns[connKey(sc.CID(), sc.Peer())] = sc
+	}
+	return conns
+}
+
+// recvCounter sums a receiver counter over the "recv." scopes.
+func recvCounter(reg *telemetry.Registry, name string) int64 {
+	var n int64
+	for scope, ss := range reg.Snapshot().Scopes {
+		if strings.HasPrefix(scope, "recv.") {
+			n += ss.Counters[name]
+		}
+	}
+	return n
+}
+
+// eventCIDs returns the C.IDs of the retained lifecycle events of kind,
+// in record order.
+func eventCIDs(reg *telemetry.Registry, kind telemetry.EventKind) []uint32 {
+	var cids []uint32
+	for _, ev := range reg.Ring().Snapshot() {
+		if ev.Kind == kind {
+			cids = append(cids, ev.CID)
+		}
+	}
+	return cids
 }
 
 // shardRunResult is everything observable from one deterministic
@@ -38,7 +81,7 @@ type shardRunResult struct {
 }
 
 // runShardWorkload drives one seeded multi-peer workload through the
-// in-process ingestion path (Inject + ControlOut): P peers with
+// in-process ingestion path (InjectBatch + ControlOut): P peers with
 // distinct C.IDs (two sharing a C.ID from different sources), datagrams
 // interleaved round-robin, one datagram deterministically corrupted to
 // produce findings. No socket and no timer is involved — every
@@ -46,8 +89,10 @@ type shardRunResult struct {
 func runShardWorkload(t *testing.T, shards int) shardRunResult {
 	t.Helper()
 	res := shardRunResult{streams: map[string][]byte{}}
+	reg := telemetry.New(0)
 	srv, err := Serve("127.0.0.1:0", Config{
 		Shards:    shards,
+		Telemetry: reg,
 		PollEvery: time.Hour, // no ticks during the run: fully synchronous
 		OnTPDU: func(tid uint32, v errdet.Verdict) {
 			res.tpdus = append(res.tpdus, fmt.Sprintf("%d:%v", tid, v))
@@ -116,7 +161,7 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 		progressed := false
 		for i := 0; i < peers; i++ {
 			if round < len(queues[i]) {
-				srv.Inject(queues[i][round], fakePeer(i))
+				inject(srv, queues[i][round], fakePeer(i))
 				progressed = true
 			}
 		}
@@ -126,19 +171,13 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 	}
 
 	for i := 0; i < peers; i++ {
-		cid := uint32(100 + i)
-		if i == peers-1 {
-			cid = 100
+		sc := acceptNow(t, srv)
+		if i == 0 {
+			res.findings = sc.Findings()
 		}
-		key := fmt.Sprintf("%d@%s", cid, fakePeer(i).String())
-		res.streams[key] = srv.StreamOf(cid, fakePeer(i).String())
+		res.streams[connKey(sc.CID(), sc.Peer())] = sc.Stream()
 	}
-	first, err := srv.Accept(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.findings = first.Findings()
-	res.reaped = srv.Reaped()
+	res.reaped = int(recvCounter(reg, "tpdus_reaped"))
 	res.conns = srv.ConnCount()
 	return res
 }
@@ -189,17 +228,14 @@ func TestShardCountDeterminism(t *testing.T) {
 
 // TestMaxConnsAdmission pins Config.MaxConns: the cap refuses further
 // establishments (datagram dropped, nothing allocated), counts them,
-// fires OnConnRefused with the refused identity, and frees capacity
-// when a connection expires.
+// and records a "refused" lifecycle event with each refused C.ID.
 func TestMaxConnsAdmission(t *testing.T) {
-	var refused []string
+	reg := telemetry.New(0)
 	srv, err := Serve("127.0.0.1:0", Config{
 		Shards:    4,
 		MaxConns:  2,
 		PollEvery: time.Hour,
-		OnConnRefused: func(cid uint32, peer net.Addr) {
-			refused = append(refused, fmt.Sprintf("%d@%s", cid, peer))
-		},
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,24 +254,28 @@ func TestMaxConnsAdmission(t *testing.T) {
 		}
 		// One establishment attempt per peer: refusal is counted per
 		// attempted datagram, so keep the attempt count explicit.
-		srv.Inject(dgrams[0], fakePeer(i))
+		inject(srv, dgrams[0], fakePeer(i))
 	}
 	if got := srv.ConnCount(); got != 2 {
 		t.Fatalf("ConnCount = %d, want 2 (cap)", got)
 	}
-	if got := srv.RefusedConns(); got != 2 {
-		t.Fatalf("RefusedConns = %d, want 2", got)
+	if got := reg.Snapshot().Scopes["server"].Counters["conns_refused"]; got != 2 {
+		t.Fatalf("conns_refused = %d, want 2", got)
 	}
-	want := []string{
-		fmt.Sprintf("3@%s", fakePeer(2)),
-		fmt.Sprintf("4@%s", fakePeer(3)),
+	if got, want := eventCIDs(reg, telemetry.EvRefused), []uint32{3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("refused events carry C.IDs %v, want %v", got, want)
 	}
-	if !reflect.DeepEqual(refused, want) {
-		t.Fatalf("OnConnRefused got %v, want %v", refused, want)
+	// The refused identities hold no state: only the admitted two are
+	// ever accepted.
+	for _, cid := range []uint32{1, 2} {
+		if got := acceptNow(t, srv).CID(); got != cid {
+			t.Fatalf("accepted C.ID %d, want %d", got, cid)
+		}
 	}
-	// The refused identities hold no state: their streams are absent.
-	if srv.StreamOf(3, fakePeer(2).String()) != nil {
-		t.Fatal("refused connection has a stream")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if sc, err := srv.Accept(ctx); err == nil {
+		t.Fatalf("accepted refused connection %d", sc.CID())
 	}
 }
 
@@ -260,7 +300,7 @@ func TestMaxConnsRefusedTelemetry(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		srv.Inject(dgrams[0], fakePeer(i))
+		inject(srv, dgrams[0], fakePeer(i))
 	}
 	snap := reg.Snapshot()
 	if got := snap.Scopes["server"].Counters["conns_refused"]; got != 2 {
@@ -277,7 +317,7 @@ func TestMaxConnsRefusedTelemetry(t *testing.T) {
 // into the per-connection scopes.
 func TestTelemetryScopesBounded(t *testing.T) {
 	const conns = 32
-	inject := func(srv *Server) {
+	load := func(srv *Server) {
 		for i := 0; i < conns; i++ {
 			var dgrams [][]byte
 			s := transport.NewSender(transport.SenderConfig{CID: uint32(i + 1), TPDUElems: 16},
@@ -289,7 +329,7 @@ func TestTelemetryScopesBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, d := range dgrams {
-				srv.Inject(d, fakePeer(i))
+				inject(srv, d, fakePeer(i))
 			}
 		}
 	}
@@ -298,7 +338,7 @@ func TestTelemetryScopesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inject(srv)
+	load(srv)
 	srv.Shutdown()
 	var recvScopes []string
 	for name := range regAgg.Snapshot().Scopes {
@@ -313,11 +353,7 @@ func TestTelemetryScopesBounded(t *testing.T) {
 	}
 	// The aggregates carry the traffic: TPDUs verified across shards
 	// must equal the connection count (one TPDU each).
-	total := int64(0)
-	for _, name := range recvScopes {
-		total += regAgg.Snapshot().Scopes[name].Counters["tpdus_verified"]
-	}
-	if total != conns {
+	if total := recvCounter(regAgg, "tpdus_verified"); total != conns {
 		t.Fatalf("aggregate tpdus_verified = %d, want %d", total, conns)
 	}
 
@@ -328,7 +364,7 @@ func TestTelemetryScopesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inject(srv2)
+	load(srv2)
 	srv2.Shutdown()
 	perScopes := 0
 	for name := range regPer.Snapshot().Scopes {
@@ -338,66 +374,5 @@ func TestTelemetryScopesBounded(t *testing.T) {
 	}
 	if perScopes != conns {
 		t.Fatalf("PerConnTelemetry: %d recv scopes, want %d (one per conn)", perScopes, conns)
-	}
-}
-
-// TestExpiryCallbackOrder pins the cross-shard expiry order: all
-// connections going idle in the same tick expire in (C.ID, source)
-// order regardless of shard count — the old single-table sorted-scan
-// order.
-func TestExpiryCallbackOrder(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		var mu sync.Mutex
-		var order []string
-		srv, err := Serve("127.0.0.1:0", Config{
-			Shards:      shards,
-			PollEvery:   50 * time.Millisecond,
-			IdleTimeout: 150 * time.Millisecond,
-			OnConnExpired: func(cid uint32, peer net.Addr) {
-				mu.Lock()
-				order = append(order, fmt.Sprintf("%d@%s", cid, peer))
-				mu.Unlock()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Establish 10 connections back-to-back — well inside the first
-		// tick period, so they share an establishment tick and expire in
-		// one batch.
-		var want []string
-		for i := 9; i >= 0; i-- { // scrambled establishment order
-			var dgrams [][]byte
-			s := transport.NewSender(transport.SenderConfig{CID: uint32(1 + i%3), TPDUElems: 16},
-				func(d []byte) { dgrams = append(dgrams, append([]byte(nil), d...)) })
-			if err := s.Write(testData(64, int64(i))); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range dgrams {
-				srv.Inject(d, fakePeer(i))
-			}
-			want = append(want, fmt.Sprintf("%d@%s", 1+i%3, fakePeer(i)))
-		}
-		sort.Slice(want, func(a, b int) bool {
-			// (C.ID, addr) order — CIDs here are single-digit so the
-			// string sort on "cid@addr" matches numeric order.
-			return want[a] < want[b]
-		})
-
-		deadline := time.Now().Add(5 * time.Second)
-		for srv.Expired() < 10 && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		srv.Shutdown()
-		mu.Lock()
-		got := append([]string(nil), order...)
-		mu.Unlock()
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: expiry order\n got %v\nwant %v", shards, got, want)
-		}
 	}
 }

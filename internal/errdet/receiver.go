@@ -194,8 +194,21 @@ func entry[S any](m map[uint32]*S, id uint32) *S {
 	return m[id]
 }
 
+// maxFindings bounds the findings log: the first maxFindings anomalies
+// are kept in detection order and later ones are dropped unformatted,
+// so a flood of anomalous chunks pins no memory.
+const maxFindings = 128
+
+// flagging reports whether the findings log has room. A call site
+// whose arguments box checks it first, so an anomaly past the cap
+// allocates nothing.
+func (r *Receiver) flagging() bool { return len(r.findings) < maxFindings }
+
+// flag logs one finding while the log has room.
 func (r *Receiver) flag(class Verdict, tid uint32, format string, args ...any) {
-	r.findings = append(r.findings, Finding{Class: class, TID: tid, Err: fmt.Errorf(format, args...)})
+	if r.flagging() {
+		r.findings = append(r.findings, Finding{Class: class, TID: tid, Err: fmt.Errorf(format, args...)})
+	}
 }
 
 // Ingest processes one received chunk. Data and ED chunks are
@@ -272,15 +285,21 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 		t.size, t.cid, t.delta, t.haveMeta = c.Size, c.C.ID, delta, true
 	} else {
 		if c.Size != t.size {
-			r.flag(VerdictReassembly, c.T.ID, "SIZE %d conflicts with %d", c.Size, t.size) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+			if r.flagging() {
+				r.flag(VerdictReassembly, c.T.ID, "SIZE %d conflicts with %d", c.Size, t.size) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+			}
 			return nil, nil, nil
 		}
 		if c.C.ID != t.cid {
-			r.flag(VerdictConsistency, c.T.ID, "C.ID %d conflicts with %d", c.C.ID, t.cid) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+			if r.flagging() {
+				r.flag(VerdictConsistency, c.T.ID, "C.ID %d conflicts with %d", c.C.ID, t.cid) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+			}
 			return nil, nil, nil
 		}
 		if delta != t.delta {
-			r.flag(VerdictConsistency, c.T.ID, "C.SN-T.SN %d conflicts with %d", delta, t.delta) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+			if r.flagging() {
+				r.flag(VerdictConsistency, c.T.ID, "C.SN-T.SN %d conflicts with %d", delta, t.delta) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+			}
 			return nil, nil, nil
 		}
 	}
@@ -290,7 +309,9 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	if !x.haveDelta {
 		x.delta, x.haveDelta = xdelta, true
 	} else if x.delta != xdelta {
-		r.flag(VerdictConsistency, c.T.ID, "C.SN-X.SN %d conflicts with %d for X.ID %d", xdelta, x.delta, c.X.ID) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		if r.flagging() {
+			r.flag(VerdictConsistency, c.T.ID, "C.SN-X.SN %d conflicts with %d for X.ID %d", xdelta, x.delta, c.X.ID) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		}
 		return nil, nil, nil
 	}
 
@@ -307,8 +328,8 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	fresh, conflicts, err := t.pdu.AddChecked(c.T.SN, n, c.T.ST, r.policy, c.Payload, int(c.Size), view)
 	if len(conflicts) > 0 {
 		r.overlapConflicts.Add(int64(len(conflicts)))
-		for _, iv := range conflicts {
-			r.flag(VerdictConsistency, c.T.ID, "overlap conflict: duplicate %v carries different bytes (%v)", iv, r.policy) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		for i := 0; i < len(conflicts) && r.flagging(); i++ {
+			r.flag(VerdictConsistency, c.T.ID, "overlap conflict: duplicate %v carries different bytes (%v)", conflicts[i], r.policy) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
 		}
 	}
 	if err != nil {
@@ -321,10 +342,14 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 				// overwrite them.)
 				t.Reset()
 			}
-			r.flag(VerdictReassembly, c.T.ID, "T-level reassembly: %v (%v)", err, r.policy) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+			if r.flagging() {
+				r.flag(VerdictReassembly, c.T.ID, "T-level reassembly: %v (%v)", err, r.policy) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+			}
 			return nil, nil, err
 		}
-		r.flag(VerdictReassembly, c.T.ID, "T-level reassembly: %v", err)
+		if r.flagging() {
+			r.flag(VerdictReassembly, c.T.ID, "T-level reassembly: %v", err)
+		}
 		return nil, nil, nil
 	}
 	if r.policy == vr.LastWins && len(conflicts) > 0 && view != nil {
@@ -351,7 +376,9 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 
 	// External-level virtual reassembly (ALF frame completion).
 	if _, err := x.pdu.Add(c.X.SN, n, c.X.ST); err != nil {
-		r.flag(VerdictReassembly, c.T.ID, "X-level reassembly (X.ID %d): %v", c.X.ID, err) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		if r.flagging() {
+			r.flag(VerdictReassembly, c.T.ID, "X-level reassembly (X.ID %d): %v", c.X.ID, err) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		}
 	}
 
 	// Accumulate only the fresh data into the parity — processing the
@@ -390,7 +417,9 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 func (r *Receiver) IngestED(t *TPDU, c *chunk.Chunk) {
 	par, err := ParseED(c)
 	if err != nil {
-		r.flag(VerdictReassembly, c.T.ID, "malformed ED chunk: %v", err)
+		if r.flagging() {
+			r.flag(VerdictReassembly, c.T.ID, "malformed ED chunk: %v", err)
+		}
 		return
 	}
 	if t.verdict != VerdictPending {
@@ -400,7 +429,9 @@ func (r *Receiver) IngestED(t *TPDU, c *chunk.Chunk) {
 		t.Reset()
 	}
 	if t.haveMeta && c.C.ID != t.cid {
-		r.flag(VerdictConsistency, c.T.ID, "ED chunk C.ID %d conflicts with %d", c.C.ID, t.cid) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		if r.flagging() {
+			r.flag(VerdictConsistency, c.T.ID, "ED chunk C.ID %d conflicts with %d", c.C.ID, t.cid) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		}
 		return
 	}
 	if t.haveWant {
@@ -427,7 +458,9 @@ func (r *Receiver) maybeFinalize(tid uint32, t *TPDU) {
 		return
 	}
 	t.verdict = VerdictEDMismatch
-	r.flag(VerdictEDMismatch, tid, "WSC-2 parity mismatch: got %+v want %+v", t.acc.Parity(), t.want) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+	if r.flagging() {
+		r.flag(VerdictEDMismatch, tid, "WSC-2 parity mismatch: got %+v want %+v", t.acc.Parity(), t.want) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+	}
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -466,7 +499,8 @@ func (r *Receiver) Verdict(tid uint32) Verdict {
 	return VerdictPending
 }
 
-// Findings returns every anomaly detected so far, in detection order.
+// Findings returns the anomalies detected so far, in detection order:
+// the first maxFindings of them.
 func (r *Receiver) Findings() []Finding {
 	return append([]Finding(nil), r.findings...)
 }
@@ -516,15 +550,9 @@ func (r *Receiver) Finalize() map[uint32]Verdict {
 	for _, xid := range sortedKeys(r.xs) {
 		x := r.xs[xid]
 		if end, ok := x.pdu.End(); ok && !x.pdu.Complete() {
-			r.findings = append(r.findings, Finding{
-				Class: VerdictReassembly,
-				Err:   fmt.Errorf("external PDU %d incomplete: %d of %d elements", xid, x.pdu.Received(), end),
-			})
+			r.flag(VerdictReassembly, 0, "external PDU %d incomplete: %d of %d elements", xid, x.pdu.Received(), end)
 		} else if !ok && len(x.pdu.Missing()) > 0 {
-			r.findings = append(r.findings, Finding{
-				Class: VerdictReassembly,
-				Err:   fmt.Errorf("external PDU %d has internal gaps %v", xid, x.pdu.Missing()),
-			})
+			r.flag(VerdictReassembly, 0, "external PDU %d has internal gaps %v", xid, x.pdu.Missing())
 		}
 	}
 	return out

@@ -13,15 +13,16 @@
 // hardware runs out of cores (the benchmark's conn_scale workload).
 //
 // Determinism: shard assignment is a pure hash of the key, ticks are
-// counted (never read from a clock), and every cross-shard aggregate
-// — Tick's due set, Range — merges shards in a fixed order with
-// key-sorted tie-breaking, so a seeded run is bit-reproducible at any
-// shard count.
+// counted (never read from a clock), and Tick serves the due timers of
+// all shards in one key-sorted order, so a seeded run is
+// bit-reproducible at any shard count.
 package shard
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -108,8 +109,7 @@ type Engine[C any] struct {
 	shards []*Shard[C]
 	mask   uint64 // len(shards)-1 when power of two, else 0
 
-	live    atomic.Int64 // live connections (admission control)
-	refused atomic.Int64 // establishments refused by MaxConns
+	live atomic.Int64 // live connections (admission control)
 
 	// due is Tick's reusable drain scratch: after the first few ticks
 	// its backing array stops growing and Tick runs allocation-free.
@@ -158,9 +158,6 @@ func (e *Engine[C]) Shard(k Key) *Shard[C] { return e.shards[e.ShardIndex(k)] }
 // Live returns the engine-wide live connection count.
 func (e *Engine[C]) Live() int { return int(e.live.Load()) }
 
-// Refused returns how many establishments admission control refused.
-func (e *Engine[C]) Refused() int { return int(e.refused.Load()) }
-
 // Lock acquires the shard's mutex. Every per-connection operation
 // (Get, Lookup, Establish, Remove, Touch, ArmPoll) requires it.
 func (s *Shard[C]) Lock() { s.mu.Lock() }
@@ -185,7 +182,6 @@ func (s *Shard[C]) Establish(k Key, mk func() (C, error)) (C, error) {
 	var zero C
 	if max := s.eng.cfg.MaxConns; max > 0 && s.eng.live.Add(1) > int64(max) {
 		s.eng.live.Add(-1)
-		s.eng.refused.Add(1)
 		return zero, ErrMaxConns
 	} else if max <= 0 {
 		s.eng.live.Add(1)
@@ -254,9 +250,8 @@ func (s *Shard[C]) ArmPoll(k Key) {
 }
 
 // An Expired record reports one connection reaped by idle expiry.
-type Expired[C any] struct {
+type Expired struct {
 	Key Key
-	Val C
 }
 
 // Tick advances every shard's wheel by one tick and serves the due
@@ -264,26 +259,25 @@ type Expired[C any] struct {
 // timers fire in sorted key order — (C.ID, addr), idle before poll —
 // across all shards, pinning the old single-table sorted-scan
 // semantics regardless of shard count. Expired connections are
-// removed and returned (key-sorted) for the caller's callbacks; the
-// caller fires those outside any shard lock.
+// removed and returned, key-sorted.
 //
-// The drain pass merges into a reused, insertion-sorted scratch
-// rather than sort.Slice: the comparison closure there boxes the
-// slice header onto the heap, and Tick sits on the server's tick
-// loop, which must stay allocation-free in steady state.
+// The drain pass appends to a reused scratch and sorts it once, after
+// the shard locks are released, so a tick with many due timers costs
+// O(n log n) outside the locks.
 //
 //lint:hot
-func (e *Engine[C]) Tick() []Expired[C] {
+func (e *Engine[C]) Tick() []Expired {
 	due := e.due[:0]
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		for _, t := range sh.wheel.advance() {
-			due = insertDue(due, dueTimer[C]{sh, t})
+			due = append(due, dueTimer[C]{sh, t})
 		}
 		sh.mu.Unlock()
 	}
+	slices.SortFunc(due, compareDue[C])
 	e.due = due
-	var expired []Expired[C]
+	var expired []Expired
 	for _, d := range due {
 		sh, t := d.sh, d.t
 		sh.mu.Lock()
@@ -301,7 +295,7 @@ func (e *Engine[C]) Tick() []Expired[C] {
 				sh.wheel.cancel(&en.poll)
 				delete(sh.conns, t.key)
 				e.live.Add(-1)
-				expired = append(expired, Expired[C]{Key: t.key, Val: en.val})
+				expired = append(expired, Expired{Key: t.key})
 			}
 		case kindPoll:
 			if e.cfg.Poll != nil && e.cfg.Poll(t.key, en.val) {
@@ -315,38 +309,15 @@ func (e *Engine[C]) Tick() []Expired[C] {
 	return expired
 }
 
-// insertDue appends d keeping due sorted by (key, kind): an insertion
-// sort against an already-sorted prefix, so each drain merge is one
-// scan from the tail. Per-shard advance yields few timers per tick,
-// and reusing the backing array keeps the merge allocation-free.
-func insertDue[C any](due []dueTimer[C], d dueTimer[C]) []dueTimer[C] {
-	due = append(due, d)
-	i := len(due) - 1
-	for i > 0 && dueLess(d, due[i-1]) {
-		due[i] = due[i-1]
-		i--
+// compareDue orders due timers by (key, kind): idle before poll for
+// one key. A key lives in one shard and has one timer of each kind,
+// so the order is total and an unstable sort is deterministic.
+func compareDue[C any](a, b dueTimer[C]) int {
+	switch {
+	case a.t.key.less(b.t.key):
+		return -1
+	case b.t.key.less(a.t.key):
+		return 1
 	}
-	due[i] = d
-	return due
-}
-
-func dueLess[C any](a, b dueTimer[C]) bool {
-	if a.t.key != b.t.key {
-		return a.t.key.less(b.t.key)
-	}
-	return a.t.kind < b.t.kind
-}
-
-// Range calls fn for every live connection under its shard's lock,
-// shards in index order. Connections within a shard are visited in
-// map order: fn must be order-free (sums, counts) — anything
-// order-sensitive belongs in a sorted collect.
-func (e *Engine[C]) Range(fn func(k Key, c C)) {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for k, en := range sh.conns { //lint:allow maprange callers are restricted to order-free bodies (see doc comment)
-			fn(k, en.val)
-		}
-		sh.mu.Unlock()
-	}
+	return cmp.Compare(a.t.kind, b.t.kind)
 }

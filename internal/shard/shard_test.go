@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -40,8 +41,8 @@ func TestShardSpread(t *testing.T) {
 }
 
 // TestMaxConnsAdmission verifies the engine-wide cap: establishment
-// past MaxConns fails with ErrMaxConns, counts as refused, builds no
-// connection value, and capacity freed by Remove is reusable.
+// past MaxConns fails with ErrMaxConns, builds no connection value,
+// and capacity freed by Remove is reusable.
 func TestMaxConnsAdmission(t *testing.T) {
 	e := New(Config[int]{Shards: 4, MaxConns: 3})
 	keys := []Key{{1, "a"}, {2, "b"}, {3, "c"}}
@@ -62,9 +63,6 @@ func TestMaxConnsAdmission(t *testing.T) {
 	}
 	if built {
 		t.Fatal("constructor ran for a refused establishment")
-	}
-	if e.Refused() != 1 {
-		t.Fatalf("Refused = %d, want 1", e.Refused())
 	}
 	if e.Live() != 3 {
 		t.Fatalf("Live = %d after refusal, want 3", e.Live())
@@ -220,28 +218,6 @@ func TestPollRearm(t *testing.T) {
 	}
 }
 
-// TestRangeCoversAll checks Range visits every live connection exactly
-// once across shards.
-func TestRangeCoversAll(t *testing.T) {
-	e := New(Config[int]{Shards: 4})
-	want := make(map[Key]bool)
-	for i := 0; i < 100; i++ {
-		k := Key{CID: uint32(i), Addr: "r"}
-		establish(t, e, k, i)
-		want[k] = true
-	}
-	seen := make(map[Key]int)
-	e.Range(func(k Key, v int) { seen[k]++ })
-	if len(seen) != len(want) {
-		t.Fatalf("Range visited %d conns, want %d", len(seen), len(want))
-	}
-	for k, n := range seen {
-		if n != 1 || !want[k] {
-			t.Fatalf("Range visited %v %d times", k, n)
-		}
-	}
-}
-
 // TestDefaultShardCount checks the GOMAXPROCS default and that any
 // shard count (power of two or not) routes keys in range.
 func TestDefaultShardCount(t *testing.T) {
@@ -264,8 +240,8 @@ func TestDefaultShardCount(t *testing.T) {
 
 // TestConcurrentEngine drives the per-connection path (Lookup,
 // Establish, ArmPoll, Remove under the shard lock) from one goroutine
-// against Tick and Range from another, as the server's read loops and
-// tick loop do. Each shard's table and wheel are guarded by its mutex;
+// against Tick from another, as the server's read loops and tick loop
+// do. Each shard's table and wheel are guarded by its mutex;
 // under -race this is the test that sees a dropped lock.
 func TestConcurrentEngine(t *testing.T) {
 	e := New(Config[int]{Shards: 4, IdleTicks: 3, Poll: func(Key, int) bool { return false }})
@@ -295,10 +271,37 @@ func TestConcurrentEngine(t *testing.T) {
 		default:
 		}
 		e.Tick()
-		n := 0
-		e.Range(func(Key, int) { n++ })
-		if n > 64 {
-			t.Fatalf("Range visited %d connections, at most 64 keys exist", n)
+		if n := e.Live(); n > 64 {
+			t.Fatalf("Live = %d connections, at most 64 keys exist", n)
+		}
+	}
+}
+
+// BenchmarkTickMassExpiry measures one Tick in which every timer falls
+// due: 20 000 connections over two shards, established in shuffled key
+// order, all idle-expiring together. It prices Tick's cross-shard
+// merge of the due set, which must stay O(n log n).
+func BenchmarkTickMassExpiry(b *testing.B) {
+	const n = 20000
+	keys := make([]Key, n)
+	for i := range keys {
+		keys[i] = Key{CID: uint32(i % 64), Addr: fmt.Sprintf("10.0.%d.%d:4242", i/256, i%256)}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := New(Config[int]{Shards: 2, IdleTicks: 1})
+		for _, k := range keys {
+			sh := e.Shard(k)
+			sh.Lock()
+			if _, err := sh.Establish(k, func() (int, error) { return 0, nil }); err != nil {
+				b.Fatal(err)
+			}
+			sh.Unlock()
+		}
+		b.StartTimer()
+		if exp := e.Tick(); len(exp) != n {
+			b.Fatalf("Tick expired %d connections, want %d", len(exp), n)
 		}
 	}
 }

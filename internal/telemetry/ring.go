@@ -14,7 +14,8 @@ type EventKind uint8
 // datagram envelope, possibly fragmented to fit the MTU, received,
 // placed into the stream, and finally verified end-to-end — or reaped
 // when the peer stops making progress. Retransmissions, peer death and
-// server-side connection expiry are the exception paths.
+// the server turning a connection away — idle expiry, an overlap
+// rejection, an admission refusal — are the exception paths.
 const (
 	EvSent       EventKind = iota + 1 // TPDU cut and transmitted (sender)
 	EvEnveloped                       // datagram envelope emitted (sender)
@@ -26,6 +27,8 @@ const (
 	EvReaped                          // stale TPDU state dropped (receiver)
 	EvPeerDead                        // sender gave up (MaxRetries)
 	EvExpired                         // server idle-expired a connection
+	EvRejected                        // server tore a connection down (vr.RejectConnection)
+	EvRefused                         // server refused an establishment (MaxConns)
 
 	evKinds // one past the last kind
 )
@@ -52,6 +55,10 @@ func (k EventKind) String() string {
 		return "peer_dead"
 	case EvExpired:
 		return "expired"
+	case EvRejected:
+		return "rejected"
+	case EvRefused:
+		return "refused"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

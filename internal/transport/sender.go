@@ -29,12 +29,6 @@ type SenderConfig struct {
 	// Adapt enables Kent/Mogul-response sizing: halve the TPDU on
 	// retransmission, grow it back on clean ACKs.
 	Adapt bool
-	// RetransmitAfter is the number of Poll rounds an unacked TPDU
-	// waits before being retransmitted wholesale; 0 means 3. It
-	// governs only the legacy round-based Poll path; the adaptive
-	// time-based path (InitialRTO > 0, driven through PollAt) replaces
-	// it with the RTT estimator below.
-	RetransmitAfter int
 
 	// InitialRTO, when > 0, enables the adaptive retransmission path:
 	// the timeout for each TPDU is a Jacobson-style smoothed RTT +
@@ -74,9 +68,6 @@ func (c *SenderConfig) fill() {
 	}
 	if c.MinTPDUElems == 0 {
 		c.MinTPDUElems = 8
-	}
-	if c.RetransmitAfter == 0 {
-		c.RetransmitAfter = 3
 	}
 	if c.InitialRTO > 0 {
 		if c.MinRTO == 0 {
@@ -559,8 +550,14 @@ func (s *Sender) grow() {
 	}
 }
 
+// retransmitAfter is the number of Poll rounds an unacked TPDU waits
+// before being retransmitted wholesale. It governs only the round-based
+// Poll path; the adaptive time-based path (InitialRTO > 0, driven
+// through PollAt) replaces it with the RTT estimator.
+const retransmitAfter = 3
+
 // Poll advances the retransmission clock one round: unacked TPDUs
-// older than RetransmitAfter rounds are re-sent whole (identifiers
+// older than retransmitAfter rounds are re-sent whole (identifiers
 // unchanged). Call it once per pump iteration.
 func (s *Sender) Poll() error {
 	s.round++
@@ -579,7 +576,7 @@ func (s *Sender) Poll() error {
 	}
 	for _, tid := range s.unackedTIDs() {
 		rec := s.unacked[tid]
-		if s.round-rec.lastSent >= s.cfg.RetransmitAfter {
+		if s.round-rec.lastSent >= retransmitAfter {
 			s.Retransmits++
 			s.tel.retransmit.Inc()
 			s.tel.ring.Record(telemetry.EvRetransmit, s.cfg.CID, tid, rec.chunks[0].C.SN, 0)
