@@ -48,7 +48,7 @@ func main() {
 	// Place only FRESH, check-accepted ranges (the Section 3.3
 	// duplicate rule: a corrupted duplicate must not overwrite data).
 	ingestAndPlace := func(c *chunk.Chunk) {
-		fresh, err := recv.IngestFresh(c)
+		fresh, _, err := recv.IngestPlaced(c)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,45 +16,16 @@ import (
 // addData accumulates the data symbols of elements [lo, hi) (absolute
 // T.SNs) taken from c's payload.
 func (l Layout) addData(acc *wsc.Accumulator, c *chunk.Chunk, lo, hi uint64) error {
-	if hi <= lo {
-		return nil
-	}
-	spe := SymbolsPerElement(c.Size)
-	if hi*spe > l.DataSymbols {
-		return fmt.Errorf("%w: elements [%d,%d) of size %d", ErrLayout, lo, hi, c.Size)
-	}
-	off := int(lo-c.T.SN) * int(c.Size)
-	if c.Size%wsc.SymbolSize == 0 {
-		// Elements pack exactly into symbols: one contiguous run.
-		n := int(hi-lo) * int(c.Size)
-		return acc.AddBytes(lo*spe, c.Payload[off:off+n])
-	}
-	// Pad each element independently to its symbol slots.
-	var buf [8 * wsc.SymbolSize]byte //lint:allow hotalloc heap-moved only on the symbol-unaligned branch; steady-state elements are symbol-aligned
-	var pad []byte
-	if spe <= uint64(len(buf))/wsc.SymbolSize {
-		pad = buf[:spe*wsc.SymbolSize]
-	} else {
-		pad = make([]byte, spe*wsc.SymbolSize) //lint:allow hotalloc padding slow path for elements wider than 8 symbols
-	}
-	for sn := lo; sn < hi; sn++ {
-		for i := range pad {
-			pad[i] = 0
-		}
-		copy(pad, c.Payload[off:off+int(c.Size)])
-		off += int(c.Size)
-		if err := acc.AddBytes(sn*spe, pad); err != nil {
-			return err
-		}
-	}
-	return nil
+	off := (lo - c.T.SN) * uint64(c.Size)
+	return l.addRaw(acc, lo, c.Size, c.Payload[off:off+(hi-lo)*uint64(c.Size)])
 }
 
 // addRaw accumulates raw bytes as the data symbols of elements
-// [sn, sn+len(data)/size), mirroring addData without a chunk. Because
-// the accumulator is XOR-linear, adding bytes that were already
-// accumulated cancels them — this is the LastWins replacement
-// primitive: add the old bytes (cancel), then add the new.
+// [sn, sn+len(data)/size). Because the accumulator is XOR-linear,
+// adding bytes that were already accumulated cancels them — this is
+// the LastWins replacement primitive: add the old bytes (cancel), then
+// add the new. An element outside the layout fails with the bare
+// ErrLayout: a forged T.SN costs no formatting.
 func (l Layout) addRaw(acc *wsc.Accumulator, sn uint64, size uint16, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -62,12 +33,14 @@ func (l Layout) addRaw(acc *wsc.Accumulator, sn uint64, size uint16, data []byte
 	n := uint64(len(data)) / uint64(size)
 	spe := SymbolsPerElement(size)
 	if (sn+n)*spe > l.DataSymbols {
-		return fmt.Errorf("%w: elements [%d,%d) of size %d", ErrLayout, sn, sn+n, size)
+		return ErrLayout
 	}
 	if size%wsc.SymbolSize == 0 {
+		// Elements pack exactly into symbols: one contiguous run.
 		return acc.AddBytes(sn*spe, data)
 	}
-	var buf [8 * wsc.SymbolSize]byte //lint:allow hotalloc conflict-replacement path only: AddBytes sharding keeps the scratch alive
+	// Pad each element independently to its symbol slots.
+	var buf [8 * wsc.SymbolSize]byte
 	var pad []byte
 	if spe <= uint64(len(buf))/wsc.SymbolSize {
 		pad = buf[:spe*wsc.SymbolSize]

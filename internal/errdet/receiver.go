@@ -11,15 +11,20 @@ import (
 	"chunks/internal/wsc"
 )
 
-// A Finding is one detected anomaly, classified by the Table 1
-// mechanism that caught it.
+// A Finding is one detected anomaly: the Table 1 mechanism that caught
+// it (Class), the check that fired and its operands — got and want, or
+// a range [A, B); parities are packed as P0<<32|P1.
 type Finding struct {
 	Class Verdict
+	Check string
 	TID   uint32 // TPDU involved, when known
-	Err   error
+	XID   uint32 // external PDU involved, on external-PDU findings
+	A, B  uint64
 }
 
-func (f Finding) String() string { return fmt.Sprintf("%v (TPDU %d): %v", f.Class, f.TID, f.Err) }
+func (f Finding) String() string {
+	return fmt.Sprintf("%v (TPDU %d, X.ID %d): %s %d %d", f.Class, f.TID, f.XID, f.Check, f.A, f.B)
+}
 
 // TPDU is the receive-side verification state of one TPDU; its zero
 // value is a TPDU of which nothing has arrived. A caller with its own
@@ -195,21 +200,19 @@ func entry[S any](m map[uint32]*S, id uint32) *S {
 }
 
 // maxFindings bounds the findings log: the first maxFindings anomalies
-// are kept in detection order and later ones are dropped unformatted,
-// so a flood of anomalous chunks pins no memory.
+// are kept in detection order and later ones are dropped, so a flood
+// of anomalous chunks pins no memory.
 const maxFindings = 128
 
-// flagging reports whether the findings log has room. A call site
-// whose arguments box checks it first, so an anomaly past the cap
-// allocates nothing.
-func (r *Receiver) flagging() bool { return len(r.findings) < maxFindings }
-
-// flag logs one finding while the log has room.
-func (r *Receiver) flag(class Verdict, tid uint32, format string, args ...any) {
-	if r.flagging() {
-		r.findings = append(r.findings, Finding{Class: class, TID: tid, Err: fmt.Errorf(format, args...)})
+// flag logs f while the log has room.
+func (r *Receiver) flag(f Finding) {
+	if len(r.findings) < maxFindings {
+		r.findings = append(r.findings, f)
 	}
 }
+
+// packed is a parity as one finding operand, P0<<32|P1.
+func packed(p wsc.Parity) uint64 { return uint64(p.P0)<<32 | uint64(p.P1) }
 
 // Ingest processes one received chunk. Data and ED chunks are
 // verified; other control types are ignored (they belong to the
@@ -217,29 +220,22 @@ func (r *Receiver) flag(class Verdict, tid uint32, format string, args ...any) {
 // content — corruption becomes findings and verdicts; the returned
 // error only reports chunks this receiver cannot interpret at all.
 func (r *Receiver) Ingest(c *chunk.Chunk) error {
-	_, err := r.IngestFresh(c)
+	_, _, err := r.IngestPlaced(c)
+	if errors.Is(err, vr.ErrConflictingData) {
+		// A policy rejection is corruption handling (a finding), not an
+		// interpretation failure.
+		err = nil
+	}
 	return err
 }
 
-// IngestFresh is Ingest, additionally returning the chunk's FRESH
-// element intervals (T.SN space) for data chunks: the sub-ranges not
-// previously received and accepted by the checks. Placement must use
-// exactly these ranges — the paper's duplicate-rejection rule exists
-// "to prevent a corrupted duplicate from overwriting uncorrupted data
-// that has already been received" (Section 3.3), and a placer that
-// blindly overwrites could diverge from the verified parity.
-func (r *Receiver) IngestFresh(c *chunk.Chunk) ([]vr.Interval, error) {
-	fresh, _, err := r.IngestPlaced(c)
-	if errors.Is(err, vr.ErrConflictingData) {
-		// A policy rejection is corruption handling (a finding), not an
-		// interpretation failure; IngestFresh keeps its old contract.
-		err = nil
-	}
-	return fresh, err
-}
-
-// IngestPlaced is IngestFresh plus IngestData's replace result, over
-// the receiver's own tid-keyed state.
+// IngestPlaced is Ingest plus IngestData's results (fresh and replace
+// intervals, vr.ErrConflictingData) over the receiver's own tid-keyed
+// state. Placement must use exactly the FRESH ranges — the paper's
+// duplicate-rejection rule exists "to prevent a corrupted duplicate
+// from overwriting uncorrupted data that has already been received"
+// (Section 3.3), and a placer that blindly overwrites could diverge
+// from the verified parity.
 func (r *Receiver) IngestPlaced(c *chunk.Chunk) (fresh, replace []vr.Interval, err error) {
 	switch c.Type {
 	case chunk.TypeData:
@@ -285,21 +281,15 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 		t.size, t.cid, t.delta, t.haveMeta = c.Size, c.C.ID, delta, true
 	} else {
 		if c.Size != t.size {
-			if r.flagging() {
-				r.flag(VerdictReassembly, c.T.ID, "SIZE %d conflicts with %d", c.Size, t.size) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
-			}
+			r.flag(Finding{Class: VerdictReassembly, Check: "SIZE", TID: c.T.ID, A: uint64(c.Size), B: uint64(t.size)})
 			return nil, nil, nil
 		}
 		if c.C.ID != t.cid {
-			if r.flagging() {
-				r.flag(VerdictConsistency, c.T.ID, "C.ID %d conflicts with %d", c.C.ID, t.cid) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
-			}
+			r.flag(Finding{Class: VerdictConsistency, Check: "C.ID", TID: c.T.ID, A: uint64(c.C.ID), B: uint64(t.cid)})
 			return nil, nil, nil
 		}
 		if delta != t.delta {
-			if r.flagging() {
-				r.flag(VerdictConsistency, c.T.ID, "C.SN-T.SN %d conflicts with %d", delta, t.delta) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
-			}
+			r.flag(Finding{Class: VerdictConsistency, Check: "C.SN-T.SN", TID: c.T.ID, A: delta, B: t.delta})
 			return nil, nil, nil
 		}
 	}
@@ -309,9 +299,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	if !x.haveDelta {
 		x.delta, x.haveDelta = xdelta, true
 	} else if x.delta != xdelta {
-		if r.flagging() {
-			r.flag(VerdictConsistency, c.T.ID, "C.SN-X.SN %d conflicts with %d for X.ID %d", xdelta, x.delta, c.X.ID) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
-		}
+		r.flag(Finding{Class: VerdictConsistency, Check: "C.SN-X.SN", TID: c.T.ID, XID: c.X.ID, A: xdelta, B: x.delta})
 		return nil, nil, nil
 	}
 
@@ -328,8 +316,8 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	fresh, conflicts, err := t.pdu.AddChecked(c.T.SN, n, c.T.ST, r.policy, c.Payload, int(c.Size), view)
 	if len(conflicts) > 0 {
 		r.overlapConflicts.Add(int64(len(conflicts)))
-		for i := 0; i < len(conflicts) && r.flagging(); i++ {
-			r.flag(VerdictConsistency, c.T.ID, "overlap conflict: duplicate %v carries different bytes (%v)", conflicts[i], r.policy) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		for _, iv := range conflicts {
+			r.flag(Finding{Class: VerdictConsistency, Check: "overlap conflict", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
 		}
 	}
 	if err != nil {
@@ -342,14 +330,15 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 				// overwrite them.)
 				t.Reset()
 			}
-			if r.flagging() {
-				r.flag(VerdictReassembly, c.T.ID, "T-level reassembly: %v (%v)", err, r.policy) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
-			}
+			r.flag(Finding{Class: VerdictReassembly, Check: "overlap rejected", TID: c.T.ID, A: c.T.SN, B: c.T.SN + n})
 			return nil, nil, err
 		}
-		if r.flagging() {
-			r.flag(VerdictReassembly, c.T.ID, "T-level reassembly: %v", err)
+		end, _ := t.pdu.End()
+		f := Finding{Class: VerdictReassembly, Check: "T beyond end", TID: c.T.ID, A: c.T.SN + n, B: end}
+		if errors.Is(err, vr.ErrConflictingEnd) {
+			f.Check, f.A, f.B = "T conflicting end", end, f.A
 		}
+		r.flag(f)
 		return nil, nil, nil
 	}
 	if r.policy == vr.LastWins && len(conflicts) > 0 && view != nil {
@@ -362,12 +351,8 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 			if old == nil {
 				continue
 			}
-			if err := r.layout.addRaw(&t.acc, iv.Lo, c.Size, old); err != nil {
-				r.flag(VerdictReassembly, c.T.ID, "overlap replace: %v", err)
-				return nil, nil, nil
-			}
-			if err := r.layout.addData(&t.acc, c, iv.Lo, iv.Hi); err != nil {
-				r.flag(VerdictReassembly, c.T.ID, "overlap replace: %v", err)
+			if r.layout.addRaw(&t.acc, iv.Lo, c.Size, old) != nil || r.layout.addData(&t.acc, c, iv.Lo, iv.Hi) != nil {
+				r.flag(Finding{Class: VerdictReassembly, Check: "overlap replace", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
 				return nil, nil, nil
 			}
 			replace = append(replace, iv)
@@ -376,17 +361,20 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 
 	// External-level virtual reassembly (ALF frame completion).
 	if _, err := x.pdu.Add(c.X.SN, n, c.X.ST); err != nil {
-		if r.flagging() {
-			r.flag(VerdictReassembly, c.T.ID, "X-level reassembly (X.ID %d): %v", c.X.ID, err) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
+		end, _ := x.pdu.End()
+		f := Finding{Class: VerdictReassembly, Check: "X beyond end", TID: c.T.ID, XID: c.X.ID, A: c.X.SN + n, B: end}
+		if errors.Is(err, vr.ErrConflictingEnd) {
+			f.Check, f.A, f.B = "X conflicting end", end, f.A
 		}
+		r.flag(f)
 	}
 
 	// Accumulate only the fresh data into the parity — processing the
 	// same piece twice "may cause the checksum to be incorrect even if
 	// no data corruption has occurred" (Section 3.3).
 	for _, iv := range fresh {
-		if err := r.layout.addData(&t.acc, c, iv.Lo, iv.Hi); err != nil {
-			r.flag(VerdictReassembly, c.T.ID, "data outside layout: %v", err)
+		if r.layout.addData(&t.acc, c, iv.Lo, iv.Hi) != nil {
+			r.flag(Finding{Class: VerdictReassembly, Check: "data outside layout", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
 			return nil, nil, nil
 		}
 		run := int64(iv.Hi-iv.Lo) * int64(c.Size)
@@ -398,8 +386,8 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	// was fresh, so retransmissions do not cancel the pair.
 	lastSN := c.T.SN + n - 1
 	if freshContains(fresh, lastSN) {
-		if err := r.layout.addTrigger(&t.acc, c); err != nil {
-			r.flag(VerdictReassembly, c.T.ID, "trigger outside layout: %v", err)
+		if r.layout.addTrigger(&t.acc, c) != nil {
+			r.flag(Finding{Class: VerdictReassembly, Check: "trigger outside layout", TID: c.T.ID, XID: c.X.ID, A: lastSN, B: lastSN + 1})
 			return nil, nil, nil
 		}
 		if c.C.ST {
@@ -417,9 +405,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 func (r *Receiver) IngestED(t *TPDU, c *chunk.Chunk) {
 	par, err := ParseED(c)
 	if err != nil {
-		if r.flagging() {
-			r.flag(VerdictReassembly, c.T.ID, "malformed ED chunk: %v", err)
-		}
+		r.flag(Finding{Class: VerdictReassembly, Check: "malformed ED", TID: c.T.ID, A: uint64(c.Size), B: uint64(c.Len)})
 		return
 	}
 	if t.verdict != VerdictPending {
@@ -429,14 +415,12 @@ func (r *Receiver) IngestED(t *TPDU, c *chunk.Chunk) {
 		t.Reset()
 	}
 	if t.haveMeta && c.C.ID != t.cid {
-		if r.flagging() {
-			r.flag(VerdictConsistency, c.T.ID, "ED chunk C.ID %d conflicts with %d", c.C.ID, t.cid) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
-		}
+		r.flag(Finding{Class: VerdictConsistency, Check: "ED C.ID", TID: c.T.ID, A: uint64(c.C.ID), B: uint64(t.cid)})
 		return
 	}
 	if t.haveWant {
 		if t.want != par {
-			r.flag(VerdictConsistency, c.T.ID, "duplicate ED chunks disagree")
+			r.flag(Finding{Class: VerdictConsistency, Check: "duplicate ED", TID: c.T.ID, A: packed(par), B: packed(t.want)})
 		}
 		return
 	}
@@ -448,9 +432,9 @@ func (r *Receiver) maybeFinalize(tid uint32, t *TPDU) {
 	if t.verdict != VerdictPending || !t.haveWant || !t.pdu.Complete() {
 		return
 	}
-	if err := r.layout.addIdentity(&t.acc, tid, t.cid, t.cst); err != nil {
+	if r.layout.addIdentity(&t.acc, tid, t.cid, t.cst) != nil {
 		t.verdict = VerdictReassembly
-		r.flag(VerdictReassembly, tid, "identity outside layout: %v", err)
+		r.flag(Finding{Class: VerdictReassembly, Check: "identity outside layout", TID: tid, A: r.layout.TIDPos(), B: r.layout.CSTPos() + 1})
 		return
 	}
 	if wsc.Verify(t.acc.Parity(), t.want) {
@@ -458,9 +442,7 @@ func (r *Receiver) maybeFinalize(tid uint32, t *TPDU) {
 		return
 	}
 	t.verdict = VerdictEDMismatch
-	if r.flagging() {
-		r.flag(VerdictEDMismatch, tid, "WSC-2 parity mismatch: got %+v want %+v", t.acc.Parity(), t.want) //lint:allow hotalloc cold finding path: the variadic call boxes its operands
-	}
+	r.flag(Finding{Class: VerdictEDMismatch, Check: "WSC-2 parity", TID: tid, A: packed(t.acc.Parity()), B: packed(t.want)})
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -535,12 +517,12 @@ func (r *Receiver) Finalize() map[uint32]Verdict {
 		}
 		if t.verdict == VerdictPending {
 			t.verdict = VerdictReassembly
-			switch {
-			case !t.pdu.Complete():
-				r.flag(VerdictReassembly, tid, "input ended with TPDU incomplete; missing %v", t.pdu.Missing())
-			default:
-				r.flag(VerdictReassembly, tid, "input ended without ED chunk")
+			end, _ := t.pdu.End()
+			f := Finding{Class: VerdictReassembly, Check: "TPDU incomplete", TID: tid, A: t.pdu.Received(), B: end}
+			if t.pdu.Complete() {
+				f.Check = "no ED chunk"
 			}
+			r.flag(f)
 		}
 		out[tid] = t.verdict
 	}
@@ -550,9 +532,9 @@ func (r *Receiver) Finalize() map[uint32]Verdict {
 	for _, xid := range sortedKeys(r.xs) {
 		x := r.xs[xid]
 		if end, ok := x.pdu.End(); ok && !x.pdu.Complete() {
-			r.flag(VerdictReassembly, 0, "external PDU %d incomplete: %d of %d elements", xid, x.pdu.Received(), end)
+			r.flag(Finding{Class: VerdictReassembly, Check: "X incomplete", XID: xid, A: x.pdu.Received(), B: end})
 		} else if !ok && len(x.pdu.Missing()) > 0 {
-			r.flag(VerdictReassembly, 0, "external PDU %d has internal gaps %v", xid, x.pdu.Missing())
+			r.flag(Finding{Class: VerdictReassembly, Check: "X gaps", XID: xid, A: x.pdu.Received(), B: x.pdu.High()})
 		}
 	}
 	return out

@@ -12,6 +12,9 @@ import (
 // Everything is probed once at init; on any miss the pure-Go tree
 // kernel in tables.go carries the byte path alone.
 
+// hornerTreeCLMUL only loads through p and k, so neither escapes.
+//
+//go:noescape
 func hornerTreeCLMUL(p *byte, blocks int, seed uint64, k *[2]uint64) (accLo, accHi, xorRaw uint64)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -14,7 +14,6 @@ package packet
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"chunks/internal/chunk"
 )
@@ -117,8 +116,10 @@ func Decode(b []byte) (Packet, error) {
 // same Packet allocates nothing once the slice has grown to the
 // envelope's chunk count. Decoded chunk payloads alias b, exactly as
 // with Decode; on error p holds the chunks decoded before the failure
-// (callers must treat p as invalid). The decoded packet is
-// byte-for-byte identical to Decode's (FuzzDecodeInto pins this).
+// (callers must treat p as invalid). A malformed chunk fails with the
+// chunk package's error as is: an unauthenticated datagram costs no
+// formatting. The decoded packet is byte-for-byte identical to
+// Decode's (FuzzDecodeInto pins this).
 //
 //lint:hot
 func DecodeInto(b []byte, p *Packet) error {
@@ -141,7 +142,7 @@ func DecodeInto(b []byte, p *Packet) error {
 		var c chunk.Chunk
 		n, err := c.DecodeFromBytes(b[off:total])
 		if err != nil {
-			return fmt.Errorf("packet: chunk at offset %d: %w", off, err)
+			return err
 		}
 		off += n
 		if c.IsTerminator() {

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"errors"
 	"testing"
 
 	"chunks/internal/chunk"
@@ -147,11 +148,16 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(bad); err != ErrBadLength {
 		t.Errorf("tiny length: %v", err)
 	}
-	// Truncated chunk inside the packet.
+	// Truncated chunk inside the packet: the chunk's own error, and no
+	// allocation spent reporting it.
 	bad = append([]byte(nil), good[:len(good)-1]...)
 	bad[2], bad[3] = byte(len(bad)>>8), byte(len(bad))
-	if _, err := Decode(bad); err == nil {
-		t.Error("truncated chunk must fail")
+	if _, err := Decode(bad); !errors.Is(err, chunk.ErrShortBuffer) {
+		t.Errorf("truncated chunk: %v, want chunk.ErrShortBuffer", err)
+	}
+	var into Packet
+	if allocs := testing.AllocsPerRun(100, func() { _ = DecodeInto(bad, &into) }); allocs != 0 {
+		t.Errorf("a truncated chunk costs %.1f allocations, want 0", allocs)
 	}
 }
 

@@ -74,16 +74,10 @@ func (p *PDU) AddChecked(sn, n uint64, st bool, pol Policy, data []byte, size in
 	if n == 0 {
 		return nil, nil, nil
 	}
-	// End-consistency checks mirror Add, and must run before any
-	// conflict comparison so end corruption keeps its own error class.
-	if st {
-		end := sn + n
-		if p.haveEnd && p.end != end {
-			return nil, nil, conflictEndErr(p.end, end)
-		}
-	}
-	if p.haveEnd && sn+n > p.end {
-		return nil, nil, beyondEndErr(sn, sn+n, p.end)
+	// The end checks run before any conflict comparison so end
+	// corruption keeps its own error class.
+	if err := p.checkEnd(sn, n, st); err != nil {
+		return nil, nil, err
 	}
 	conflicts = p.conflicts(sn, n, data, size, prior)
 	if len(conflicts) > 0 && (pol == RejectPDU || pol == RejectConnection) {

@@ -2,7 +2,6 @@ package vr
 
 import (
 	"errors"
-	"fmt"
 
 	"chunks/internal/telemetry"
 )
@@ -34,12 +33,16 @@ var (
 	ErrConflictingEnd = errors.New("vr: conflicting PDU end")
 )
 
-func conflictEndErr(old, new uint64) error {
-	return fmt.Errorf("%w: %d then %d", ErrConflictingEnd, old, new)
-}
-
-func beyondEndErr(lo, hi, end uint64) error {
-	return fmt.Errorf("%w: [%d,%d) with end %d", ErrBeyondEnd, lo, hi, end)
+// checkEnd checks an add of [sn, sn+n) against a known end. The errors
+// are the bare sentinels: a forged chunk costs no formatting.
+func (p *PDU) checkEnd(sn, n uint64, st bool) error {
+	switch {
+	case p.haveEnd && st && p.end != sn+n:
+		return ErrConflictingEnd
+	case p.haveEnd && sn+n > p.end:
+		return ErrBeyondEnd
+	}
+	return nil
 }
 
 // Add records a chunk covering elements [sn, sn+n) with st set if the
@@ -50,16 +53,11 @@ func (p *PDU) Add(sn, n uint64, st bool) ([]Interval, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if st {
-		end := sn + n
-		if p.haveEnd && p.end != end {
-			return nil, conflictEndErr(p.end, end)
-		}
-		p.end = end
-		p.haveEnd = true
+	if err := p.checkEnd(sn, n, st); err != nil {
+		return nil, err
 	}
-	if p.haveEnd && sn+n > p.end {
-		return nil, beyondEndErr(sn, sn+n, p.end)
+	if st {
+		p.end, p.haveEnd = sn+n, true
 	}
 	if fresh := p.set.AddTo(p.fresh[:0], sn, sn+n); len(fresh) > 0 {
 		return fresh, nil
