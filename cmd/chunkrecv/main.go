@@ -1,8 +1,14 @@
 // Chunkrecv receives a chunk transport connection over UDP, verifies
-// every TPDU end-to-end with WSC-2, and optionally writes the placed
+// every TPDU end-to-end with WSC-2, and optionally writes the received
 // stream to a file. It serves the first connection to arrive and exits
 // non-zero if a TPDU fails verification or that connection is not
 // closed with every element verified within -wait.
+//
+// Frames are consumed as they complete, so the server releases their
+// bytes: -out is built from the delivered frames in X.ID order followed
+// by the unframed tail. OnFrame does not say which connection a frame
+// belongs to, so with -out a second sender's frame (an X.ID delivered
+// twice) is an error.
 //
 // Usage:
 //
@@ -16,6 +22,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"time"
 
 	"chunks/internal/core"
@@ -53,7 +60,9 @@ func run(args []string, stdout io.Writer) int {
 	}
 
 	verified, failed := 0, 0
-	frames := 0
+	frames, frameBytes := 0, 0
+	kept := map[uint32][]byte{} // -out: delivered frames by X.ID
+	twice := false              // -out: an X.ID delivered twice
 	srv, err := core.Serve(*listen, core.Config{
 		Telemetry: reg,
 		OnTPDU: func(tid uint32, v errdet.Verdict) {
@@ -68,6 +77,12 @@ func run(args []string, stdout io.Writer) int {
 		},
 		OnFrame: func(xid uint32, data []byte) {
 			frames++
+			frameBytes += len(data)
+			if *out != "" {
+				_, seen := kept[xid]
+				twice = twice || seen
+				kept[xid] = append([]byte(nil), data...)
+			}
 			if *verbose {
 				log.Printf("frame %d complete: %d bytes", xid, len(data))
 			}
@@ -100,7 +115,7 @@ func run(args []string, stdout io.Writer) int {
 		}
 	}
 	fmt.Fprintf(stdout, "received %d bytes; TPDUs verified %d, failed %d; frames %d\n",
-		len(stream), verified, failed, frames)
+		frameBytes+len(stream), verified, failed, frames)
 	if reg != nil {
 		reg.Snapshot().WriteText(stdout)
 	}
@@ -109,7 +124,20 @@ func run(args []string, stdout io.Writer) int {
 		return 1
 	}
 	if *out != "" {
-		if err := os.WriteFile(*out, stream, 0o644); err != nil {
+		if twice {
+			log.Print("frames of more than one connection arrived: -out needs a single sender")
+			return 1
+		}
+		xids := make([]uint32, 0, len(kept))
+		for xid := range kept {
+			xids = append(xids, xid)
+		}
+		slices.Sort(xids)
+		var file []byte
+		for _, xid := range xids {
+			file = append(file, kept[xid]...)
+		}
+		if err := os.WriteFile(*out, append(file, stream...), 0o644); err != nil {
 			log.Print(err)
 			return 1
 		}

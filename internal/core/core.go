@@ -94,9 +94,14 @@ type Config struct {
 	// lifecycle event recorded with its C.ID).
 	OverlapPolicy vr.Policy
 
-	// OnFrame and OnTPDU are receive-side delivery callbacks.
+	// OnFrame and OnTPDU are receive-side delivery callbacks. OnFrame
+	// fires once per completed frame; data is valid only during the
+	// call, and the server releases the frame's bytes after it once
+	// they are verified, so ServerConn.Stream no longer holds them.
 	OnFrame func(xid uint32, data []byte)
-	// OnTPDU fires once per TPDU with its end-to-end verdict.
+	// OnTPDU fires once per TPDU with its end-to-end verdict. With
+	// OnFrame set, a retransmission of a TPDU the server has already
+	// released (its ACK was lost) is verified again and reported again.
 	OnTPDU func(tid uint32, v errdet.Verdict)
 
 	// Telemetry, when set, receives the connection's runtime metrics

@@ -206,8 +206,13 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	return srv, nil
 }
 
+// retireLag is how many acknowledged TPDUs a connection whose
+// application consumes through OnFrame keeps before retiring them: the
+// transport's RetireVerified.
+const retireLag = 8
+
 func (s *Server) receiverConfig() transport.ReceiverConfig {
-	return transport.ReceiverConfig{
+	cfg := transport.ReceiverConfig{
 		MTU:           s.cfg.MTU,
 		OnFrame:       s.cfg.OnFrame,
 		OnTPDU:        s.cfg.OnTPDU,
@@ -215,6 +220,12 @@ func (s *Server) receiverConfig() transport.ReceiverConfig {
 		ReapAfter:     s.cfg.ReapAfter,
 		OverlapPolicy: s.cfg.OverlapPolicy,
 	}
+	if cfg.OnFrame != nil {
+		// The application consumes frames through OnFrame: release
+		// what it has consumed once verified.
+		cfg.RetireVerified = retireLag
+	}
+	return cfg
 }
 
 // establish builds and admits the connection for key. Called with
@@ -563,7 +574,9 @@ func (h *ServerConn) CID() uint32 { return h.cid }
 // its control chunks go there.
 func (h *ServerConn) Peer() net.Addr { return h.c.peer }
 
-// Stream returns a copy of the application bytes placed so far.
+// Stream returns a copy of the application bytes placed so far. With
+// Config.OnFrame set it returns the bytes OnFrame has not consumed: the
+// unframed tail and frames not yet delivered.
 func (h *ServerConn) Stream() []byte {
 	h.sh.Lock()
 	defer h.sh.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"net/netip"
 	"reflect"
@@ -70,10 +71,10 @@ func eventCIDs(reg *telemetry.Registry, kind telemetry.EventKind) []uint32 {
 // shardRunResult is everything observable from one deterministic
 // multi-peer run — compared byte-for-byte across shard counts.
 type shardRunResult struct {
-	streams  map[string][]byte // per-connection placed bytes
+	streams  map[string][]byte // per-connection bytes OnFrame has not consumed
 	findings []errdet.Finding  // first accepted connection's findings
 	tpdus    []string          // global OnTPDU order: "tid:verdict"
-	frames   []string          // global OnFrame order: "xid:len"
+	frames   []string          // global OnFrame order: "xid:len:fnv64"
 	control  []string          // global reverse-path order: "port:len(datagram)"
 	verified int               // TPDUs verified OK, all connections
 	reaped   int
@@ -100,8 +101,12 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 				res.verified++
 			}
 		},
+		// OnFrame consumes the frames, so Stream no longer holds them:
+		// their bytes are compared through a hash instead.
 		OnFrame: func(xid uint32, data []byte) {
-			res.frames = append(res.frames, fmt.Sprintf("%d:%d", xid, len(data)))
+			h := fnv.New64a()
+			h.Write(data)
+			res.frames = append(res.frames, fmt.Sprintf("%d:%d:%x", xid, len(data), h.Sum64()))
 		},
 		ControlOut: func(d []byte, peer *net.UDPAddr) {
 			res.control = append(res.control, fmt.Sprintf("%d:%d", peer.Port, len(d)))

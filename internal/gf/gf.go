@@ -47,6 +47,18 @@ func Mul(a, b uint32) uint32 {
 	return r
 }
 
+// reduce64 returns v mod P for a polynomial v of degree < 64. Since
+// x^32 ≡ x^22 + x^2 + x + 1, one fold replaces the high word h by
+// h·(x^22 + x^2 + x + 1) — four shifts of the sparse polynomial — and
+// lowers the degree bound by 10: four folds take 64 below 32.
+func reduce64(v uint64) uint32 {
+	for range 4 {
+		h := v >> 32
+		v = v&0xFFFF_FFFF ^ h ^ h<<1 ^ h<<2 ^ h<<22
+	}
+	return uint32(v)
+}
+
 // Pow returns a**e in GF(2^32) by square-and-multiply.
 func Pow(a uint32, e uint64) uint32 {
 	r := uint32(1)

@@ -26,10 +26,6 @@ func xgetbv0() (eax, edx uint32)
 // from the reference field arithmetic.
 var clmulK = [2]uint64{1 << 32, uint64(Pow(Alpha, 96))}
 
-// x64red = x^64 mod P, the weight of the accumulator's high qword in
-// the final reduction.
-var x64red = Mul(Poly, Poly)
-
 var haveCLMUL = func() bool {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
@@ -75,8 +71,9 @@ func hornerSumBytesArch(b []byte) (horner, xor uint32, ok bool) {
 		tx ^= s
 	}
 	accLo, accHi, xraw := hornerTreeCLMUL(&b[0], full/treeSyms, uint64(th), &clmulK)
-	// acc = accHi·x^64 ^ accLo, degree < 96: reduce both qwords.
-	h := uint32(accLo) ^ Mul(uint32(accLo>>32), Poly) ^ Mul(uint32(accHi), x64red)
+	// acc = accHi·x^64 ^ accLo, degree < 96: accHi·x^64 is
+	// (accHi·x^32 mod P)·x^32, so two folds reduce both qwords.
+	h := reduce64(accLo ^ uint64(reduce64(accHi<<32))<<32)
 	// xraw is the XOR of raw little-endian qword loads; XOR commutes
 	// with the byte swap, so one swap after folding recovers the
 	// big-endian symbol sum.

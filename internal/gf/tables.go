@@ -273,7 +273,7 @@ func HornerSumBytesTable(b []byte) (horner, xor uint32) {
 	}
 	// Final reduction of the unreduced accumulator and fold of the
 	// packed XOR lanes.
-	h := uint32(acc) ^ Mul(uint32(acc>>32), Poly)
+	h := reduce64(acc)
 	return h, uint32(x) ^ uint32(x>>32)
 }
 

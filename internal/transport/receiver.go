@@ -20,10 +20,15 @@ type ReceiverConfig struct {
 	// MTU bounds control datagrams.
 	MTU int
 	// OnFrame, when set, is called once per completed external PDU
-	// (ALF frame) with the frame's bytes.
+	// (ALF frame) with the frame's bytes. With RetireVerified also set
+	// the application consumes the stream through OnFrame: data is
+	// valid only during the call, a frame's bytes are trimmed once
+	// delivered and acknowledged, and Stream holds only what OnFrame
+	// has not consumed.
 	OnFrame func(xid uint32, data []byte)
 	// OnTPDU, when set, is called once per TPDU with its final
-	// verdict.
+	// verdict. Under RetireVerified a retransmission of a retired TPDU
+	// (its ACK was lost) is verified again and reported again.
 	OnTPDU func(tid uint32, v errdet.Verdict)
 	// Repair enables single-symbol error correction: a TPDU failing
 	// the parity compare is repaired in place when the WSC-2 syndrome
@@ -49,18 +54,19 @@ type ReceiverConfig struct {
 	// disables reaping.
 	ReapAfter int
 	// RetireVerified, when > 0, bounds the state of VERIFIED TPDUs the
-	// way ReapAfter bounds incomplete ones: the receiver keeps the
-	// most recent RetireVerified acknowledged TPDUs and retires older
-	// ones — their verification state is recycled (not freed, so the
-	// steady receive path allocates nothing) and, whenever the retiring
-	// TPDU is the oldest data held, the delivered stream prefix is
-	// trimmed in place. With retirement active Stream() returns only
-	// the un-trimmed suffix (StreamBase says where it starts) and
-	// OnFrame payloads are valid only during the callback. A duplicate
-	// of a retired TPDU (a retransmission after a lost ACK) is simply
-	// re-verified from scratch and re-acknowledged. 0 disables
-	// retirement and keeps every TPDU's state for the connection's
-	// lifetime (the historical behaviour).
+	// way ReapAfter bounds incomplete ones. Acknowledged TPDUs queue in
+	// stream order; beyond the RetireVerified highest, those below the
+	// acknowledged frontier retire: their verification state is
+	// recycled (not freed, so the steady receive path allocates
+	// nothing). An acknowledged TPDU above a gap stays queued until the
+	// gap is acknowledged. The held stream is released as well: a byte
+	// is trimmed once its TPDU and every byte below it are acknowledged
+	// and, with OnFrame set, its frame has been delivered. Stream() then
+	// returns only the un-trimmed suffix (StreamBase says where it
+	// starts). A duplicate of a retired TPDU (a retransmission after a
+	// lost ACK) is re-verified from scratch, re-acknowledged and dropped
+	// again. 0 disables retirement and keeps every TPDU's state and
+	// every byte for the connection's lifetime.
 	RetireVerified int
 
 	// Tel receives the receiver's runtime metrics and lifecycle
@@ -81,16 +87,26 @@ type Receiver struct {
 	opened   bool
 	closed   bool
 	rejected bool // vr.RejectConnection tripped; all input refused
+	// ackBuf is the ACK payload scratch. It and the int32 counters fill
+	// the padding after the flags, keeping Receiver in the 480 B size
+	// class.
+	ackBuf   [4]byte
+	repaired int32
+	reaped   int32
 	finalCSN uint64
 
-	// stream is the application address space, placed by C.SN.
-	// streamBase is the C.SN element offset of stream[0]: 0 until
-	// retirement (RetireVerified) starts trimming delivered prefixes.
-	stream     []byte
-	streamBase uint64
+	// buf[head:] is the application address space, placed by C.SN:
+	// buf[head] holds element base(). Under RetireVerified, trimming
+	// the released prefix advances head, and place reuses the trimmed
+	// room (extend).
+	buf  []byte
+	head int
+	// Under RetireVerified, every element below acked is acknowledged;
+	// while the receiver consumes (OnFrame and RetireVerified both
+	// set), OnFrame has delivered every frame below consumed. The held
+	// stream starts at the lower of the two.
+	acked, consumed uint64
 
-	repaired int
-	reaped   int
 	verified int    // TPDUs acknowledged (survives retirement)
 	covered  uint64 // elements of the acknowledged TPDUs (Complete)
 	pending  int    // TPDUs tracked without a final verdict (NeedsPoll)
@@ -106,7 +122,8 @@ type Receiver struct {
 	xfree  *xRec
 
 	// ackHead..ackTail: the queued acknowledged TPDUs awaiting
-	// retirement (RetireVerified > 0), linked through tRec.next.
+	// retirement (RetireVerified > 0) in stream order, linked through
+	// tRec.next.
 	ackHead, ackTail *tRec
 	queued           int
 
@@ -115,9 +132,8 @@ type Receiver struct {
 
 	// Hot-path scratch, reused across calls so the steady receive path
 	// allocates nothing: dec is HandlePacket's envelope decode target,
-	// ackBuf the ACK payload, pollRecs Poll's sorted-scan buffer.
+	// pollRecs Poll's sorted-scan buffer.
 	dec      packet.Packet
-	ackBuf   [4]byte
 	pollRecs []*tRec
 }
 
@@ -125,7 +141,7 @@ type Receiver struct {
 // and the polling, acknowledgment and telemetry bookkeeping around it.
 type tRec struct {
 	ed       errdet.TPDU
-	next     *tRec  // free list or retirement FIFO
+	next     *tRec  // free list or retirement queue
 	progress uint64 // reassembly fingerprint at the last Poll (hasProgress)
 	arrived  int    // Poll round the first chunk arrived in (pending)
 	tid      uint32
@@ -249,15 +265,17 @@ func (r *Receiver) Rejected() bool { return r.rejected }
 //
 //lint:hot
 func (r *Receiver) priorBytes(iv vr.Interval) []byte {
-	if iv.Lo < r.streamBase {
+	base := r.base()
+	if iv.Lo < base {
 		return nil
 	}
 	es := uint64(r.size())
-	lo, hi := (iv.Lo-r.streamBase)*es, (iv.Hi-r.streamBase)*es
-	if hi > uint64(len(r.stream)) || lo > hi {
+	lo, hi := (iv.Lo-base)*es, (iv.Hi-base)*es
+	held := r.buf[r.head:]
+	if hi > uint64(len(held)) || lo > hi {
 		return nil
 	}
-	return r.stream[lo:hi]
+	return held[lo:hi]
 }
 
 // HandlePacket ingests one received datagram. The decode scratch is
@@ -363,37 +381,51 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 
 // place writes the chunk's elements [lo, hi) (T.SN space) at their
 // connection-stream positions — immediate placement, the
-// latency/throughput win of Section 1. Elements below streamBase are
-// duplicates of already-retired data and are dropped.
+// latency/throughput win of Section 1. Elements below base() are
+// duplicates of already-released data and are dropped.
 //
 //lint:hot
 func (r *Receiver) place(c *chunk.Chunk, lo, hi uint64) {
 	es := uint64(c.Size)
 	abs := c.C.SN + (lo - c.T.SN)
-	if abs < r.streamBase {
+	base := r.base()
+	if abs < base {
 		return
 	}
 	off := (lo - c.T.SN) * es
 	n := (hi - lo) * es
-	dst := (abs - r.streamBase) * es
-	if dst+n > uint64(len(r.stream)) {
-		if dst+n <= uint64(cap(r.stream)) {
-			// Room left behind by a retirement trim: re-extend in
-			// place, zeroing the reclaimed tail (it holds stale bytes
-			// from the copy-down).
-			old := len(r.stream)
-			r.stream = r.stream[:dst+n]
-			clear(r.stream[old:])
-		} else {
-			// Grow geometrically: exact-size growth would reallocate
-			// (and zero) the whole stream once per arriving datagram.
-			newCap := max(2*uint64(cap(r.stream)), dst+n)
-			grown := make([]byte, dst+n, newCap) //lint:allow hotalloc stream growth; retirement (RetireVerified) caps it in steady state
-			copy(grown, r.stream)
-			r.stream = grown
-		}
+	dst := (abs - base) * es
+	if dst+n > uint64(len(r.buf)-r.head) {
+		r.extend(dst, dst+n)
 	}
-	copy(r.stream[dst:dst+n], c.Payload[off:off+n])
+	dst += uint64(r.head)
+	copy(r.buf[dst:dst+n], c.Payload[off:off+n])
+}
+
+// extend makes the held stream buf[head:] end bytes long for a write
+// at [dst, end), zeroing the gap before dst: past the old end, buf may
+// hold stale bytes of trimmed data. Out of room, it moves the held
+// bytes to the front of buf when the trimmed prefix is at least as
+// long as they are — so every byte moved was preceded by a byte
+// trimmed, and trimmed once — and otherwise grows buf geometrically.
+//
+//lint:hot
+func (r *Receiver) extend(dst, end uint64) {
+	if held := len(r.buf) - r.head; uint64(r.head)+end > uint64(cap(r.buf)) {
+		if r.head >= held && end <= uint64(cap(r.buf)) {
+			copy(r.buf, r.buf[r.head:])
+		} else {
+			// Exact-size growth would reallocate (and zero) the whole
+			// stream once per arriving datagram.
+			grown := make([]byte, held, max(2*uint64(cap(r.buf)), end)) //lint:allow hotalloc stream growth; retirement (RetireVerified) caps it in steady state
+			copy(grown, r.buf[r.head:])
+			r.buf = grown
+		}
+		r.buf, r.head = r.buf[:held], 0
+	}
+	old := len(r.buf)
+	r.buf = r.buf[:r.head+int(end)]
+	clear(r.buf[old:max(old, r.head+int(dst))])
 }
 
 // tpdu returns TPDU tid's record, creating it if needed.
@@ -469,7 +501,10 @@ func (r *Receiver) after(t *tRec) {
 	}
 	if v == errdet.VerdictEDMismatch && r.cfg.Repair {
 		if cor, ok := r.ed.RepairTPDU(&t.ed, t.tid); ok {
-			cor.Apply(r.stream, r.size())
+			if base := r.base(); cor.CSN >= base {
+				cor.CSN -= base
+				cor.Apply(r.buf[r.head:], r.size())
+			}
 			r.repaired++
 			r.tel.repaired.Inc()
 			v = t.ed.Verdict()
@@ -496,57 +531,130 @@ func (r *Receiver) after(t *tRec) {
 	if v == errdet.VerdictOK {
 		// ACK on first completion AND on every later duplicate: a
 		// duplicate means the sender retransmitted, which means the
-		// previous ACK was lost.
+		// previous ACK was lost. Booking may retire t: take its T.ID
+		// first.
+		tid := t.tid
 		if !t.acked {
 			t.acked = true
-			r.verified++
-			if lo, hi, ok := t.ed.Extent(); ok {
-				r.covered += hi - lo
-			}
-			if r.cfg.RetireVerified > 0 {
-				r.queueRetire(t)
-			}
+			r.book(t)
 		}
-		r.emitAck(t.tid)
+		r.emitAck(tid)
 	}
 }
 
-// queueRetire appends acknowledged TPDU t to the retirement FIFO and
-// retires the oldest entries beyond RetireVerified.
-func (r *Receiver) queueRetire(t *tRec) {
-	if r.ackTail == nil {
-		r.ackHead = t
-	} else {
-		r.ackTail.next = t
-	}
-	r.ackTail = t
-	r.queued++
-	for r.queued > r.cfg.RetireVerified {
-		old := r.ackHead
-		r.ackHead = old.next
-		r.queued--
-		r.retire(old)
-	}
-}
-
-// retire drops every trace of a verified, acknowledged TPDU, recycling
-// its record, and trims the delivered stream prefix when the TPDU is
-// the oldest data held (out-of-order verification just delays the trim
-// until the gap retires). A retransmission of a retired TPDU arriving
-// later (lost ACK) is re-verified from scratch; its placement below
-// streamBase is dropped by place.
+// book counts newly acknowledged TPDU t and, under RetireVerified,
+// queues it for retirement. A TPDU lying wholly below acked is a
+// retransmission of one already retired: it was counted when it first
+// verified, so its record is simply dropped again.
 //
 //lint:hot
-func (r *Receiver) retire(t *tRec) {
-	if lo, hi, ok := t.ed.Extent(); ok && lo == r.streamBase {
-		n := (hi - lo) * uint64(r.size())
-		if n <= uint64(len(r.stream)) {
-			rem := copy(r.stream, r.stream[n:])
-			r.stream = r.stream[:rem]
-			r.streamBase = hi
-		}
+func (r *Receiver) book(t *tRec) {
+	lo, hi, ok := t.ed.Extent()
+	if r.cfg.RetireVerified > 0 && ok && hi <= r.acked {
+		r.freeT(t)
+		return
 	}
-	r.freeT(t)
+	r.verified++
+	if ok {
+		r.covered += hi - lo
+	}
+	if r.cfg.RetireVerified > 0 {
+		r.queueRetire(t, lo)
+	}
+}
+
+// start and end return the C.SN element extent of acknowledged TPDU t.
+func (t *tRec) start() uint64 {
+	lo, _, _ := t.ed.Extent()
+	return lo
+}
+
+func (t *tRec) end() uint64 {
+	_, hi, _ := t.ed.Extent()
+	return hi
+}
+
+// queueRetire inserts acknowledged TPDU t, starting at element lo, into
+// the retirement queue in stream order — TPDUs verify in stream order
+// nearly always, so at the tail. When t closes the gap at acked, the
+// acknowledged frontier advances over t and over the TPDUs above it
+// that verified first, and the bytes that releases are trimmed. Then
+// the queue retires down to RetireVerified records.
+//
+//lint:hot
+func (r *Receiver) queueRetire(t *tRec, lo uint64) {
+	switch tail := r.ackTail; {
+	case tail == nil:
+		r.ackHead, r.ackTail = t, t
+	case lo >= tail.start():
+		tail.next, r.ackTail = t, t
+	default:
+		p := &r.ackHead
+		for (*p).start() <= lo {
+			p = &(*p).next
+		}
+		t.next, *p = *p, t
+	}
+	r.queued++
+	if lo <= r.acked {
+		old := r.base()
+		for u := t; u != nil && u.start() <= r.acked; u = u.next {
+			r.acked = max(r.acked, u.end())
+		}
+		r.trim(old)
+	}
+	r.retire()
+}
+
+// retire recycles the records of queued TPDUs from the bottom of the
+// stream while more than RetireVerified are queued, stopping at a TPDU
+// above a gap: it stays queued until the gap below it is acknowledged.
+// A retransmission of a retired TPDU arriving later (lost ACK) is
+// re-verified from scratch; its placement below base() is dropped by
+// place.
+//
+//lint:hot
+func (r *Receiver) retire() {
+	for r.queued > r.cfg.RetireVerified && r.ackHead.end() <= r.acked {
+		t := r.ackHead
+		if r.ackHead = t.next; r.ackHead == nil {
+			r.ackTail = nil
+		}
+		r.queued--
+		r.freeT(t)
+	}
+}
+
+// base returns the C.SN element offset of the held stream's first byte:
+// everything below it is acknowledged and, when the receiver consumes,
+// delivered. 0 with RetireVerified unset.
+//
+//lint:hot
+func (r *Receiver) base() uint64 {
+	if r.consumes() {
+		return min(r.acked, r.consumed)
+	}
+	return r.acked
+}
+
+// trim drops the held bytes between old, the previous base, and base().
+// Trimming is a reslice; when nothing stays held, buf restarts at its
+// front.
+//
+//lint:hot
+func (r *Receiver) trim(old uint64) {
+	n := (r.base() - old) * uint64(r.size())
+	if n >= uint64(len(r.buf)-r.head) {
+		r.buf, r.head = r.buf[:0], 0
+		return
+	}
+	r.head += int(n)
+}
+
+// consumes reports whether the application consumes the stream
+// through OnFrame, so that trimming waits for frame delivery.
+func (r *Receiver) consumes() bool {
+	return r.cfg.OnFrame != nil && r.cfg.RetireVerified > 0
 }
 
 // size returns the connection element size (signaled, defaulting to 4).
@@ -557,32 +665,66 @@ func (r *Receiver) size() uint16 {
 	return r.elemSize
 }
 
-// deliverFrame fires OnFrame once external PDU x is complete. Under
-// RetireVerified the frame's record is recycled right after completion
-// (delivered or not), in step with per-TPDU state.
+// deliverFrame fires OnFrame once external PDU x is complete. When the
+// receiver consumes, a record starting below the consumed frontier
+// belongs to a frame already delivered (a retransmission made it) and
+// is dropped, and a delivered frame advances the frontier (consume).
+// Otherwise, under RetireVerified, the frame's record is recycled right
+// after completion, in step with per-TPDU state.
 //
 //lint:hot
 func (r *Receiver) deliverFrame(x *xRec) {
+	consumes := r.consumes()
+	if consumes && x.startElem < r.consumed {
+		r.freeX(x)
+		return
+	}
 	if !x.haveEnd || !x.ed.Complete() {
 		return
 	}
 	if r.cfg.OnFrame != nil && !x.delivered {
 		x.delivered = true
 		es := uint64(r.size())
-		if x.startElem >= r.streamBase {
-			lo := (x.startElem - r.streamBase) * es
+		if base := r.base(); x.startElem >= base {
+			lo := (x.startElem - base) * es
 			hi := lo + x.endElems*es
-			if hi <= uint64(len(r.stream)) {
-				r.cfg.OnFrame(x.xid, r.stream[lo:hi])
+			if held := r.buf[r.head:]; hi <= uint64(len(held)) {
+				r.cfg.OnFrame(x.xid, held[lo:hi])
 			}
 		}
 	}
-	if r.cfg.RetireVerified > 0 {
-		delete(r.frames, x.xid)
-		x.ed.Reset()
-		*x = xRec{ed: x.ed, next: r.xfree}
-		r.xfree = x
+	switch {
+	case consumes:
+		r.consume(x)
+	case r.cfg.RetireVerified > 0:
+		r.freeX(x)
 	}
+}
+
+// consume advances the consumed frontier over delivered frame x when x
+// starts at it, then over the delivered frames that follow, found by
+// the next X.ID (Sender.EndFrame numbers frames consecutively), and
+// trims what that releases. A frame delivered before the one below it
+// keeps its record until the frontier reaches it.
+//
+//lint:hot
+func (r *Receiver) consume(x *xRec) {
+	old := r.base()
+	for x != nil && x.delivered && x.startElem == r.consumed {
+		r.consumed += x.endElems
+		next := x.xid + 1
+		r.freeX(x)
+		x = r.frames[next]
+	}
+	r.trim(old)
+}
+
+// freeX drops frame record x from the table and recycles it.
+func (r *Receiver) freeX(x *xRec) {
+	delete(r.frames, x.xid)
+	x.ed.Reset()
+	*x = xRec{ed: x.ed, next: r.xfree}
+	r.xfree = x
 }
 
 // Poll emits NACKs for every known-but-incomplete TPDU: missing data
@@ -703,13 +845,26 @@ func (r *Receiver) Recycle(d []byte) { ctrlBuffers.Put(d) }
 
 // Stream returns the application byte stream placed so far — all of it
 // with retirement off, the un-trimmed suffix starting at element
-// StreamBase otherwise.
-func (r *Receiver) Stream() []byte { return r.stream }
+// StreamBase otherwise. When the receiver consumes (OnFrame and
+// RetireVerified both set) that suffix starts at the consumed frontier:
+// Stream holds what OnFrame has not delivered.
+func (r *Receiver) Stream() []byte {
+	held := r.buf[r.head:]
+	if r.consumes() {
+		return held[min((r.consumed-r.base())*uint64(r.size()), uint64(len(held))):]
+	}
+	return held
+}
 
 // StreamBase returns the connection-stream element offset of
-// Stream()[0]: how many elements retirement has trimmed. Always 0 with
-// RetireVerified unset.
-func (r *Receiver) StreamBase() uint64 { return r.streamBase }
+// Stream()[0]: how many elements retirement has trimmed, or OnFrame
+// consumed. Always 0 with RetireVerified unset.
+func (r *Receiver) StreamBase() uint64 {
+	if r.consumes() {
+		return r.consumed
+	}
+	return r.acked
+}
 
 // Opened and Closed report signaling state.
 func (r *Receiver) Opened() bool { return r.opened }
@@ -723,9 +878,8 @@ func (r *Receiver) FinalCSN() uint64 { return r.finalCSN }
 
 // Complete reports whether the close signal has arrived and the
 // acknowledged TPDUs cover every element before its C.SN: the whole
-// stream is placed and verified. The count is exact while
-// RetireVerified is 0; with retirement a retired TPDU verified again
-// after a lost ACK counts twice.
+// stream is placed and verified. A retired TPDU verified again after a
+// lost ACK is not counted twice.
 func (r *Receiver) Complete() bool { return r.closed && r.covered >= r.finalCSN }
 
 // Verified reports whether TPDU tid verified OK (and its state is
@@ -744,11 +898,11 @@ func (r *Receiver) Findings() []errdet.Finding { return r.ed.Findings() }
 
 // Repaired returns the number of TPDUs fixed by single-symbol error
 // correction (only nonzero when ReceiverConfig.Repair is set).
-func (r *Receiver) Repaired() int { return r.repaired }
+func (r *Receiver) Repaired() int { return int(r.repaired) }
 
 // Reaped returns the number of stale incomplete TPDUs whose state was
 // dropped (only nonzero when ReceiverConfig.ReapAfter is set).
-func (r *Receiver) Reaped() int { return r.reaped }
+func (r *Receiver) Reaped() int { return int(r.reaped) }
 
 // NeedsPoll reports whether the receiver has timer-driven work left:
 // at least one tracked TPDU awaits its final verdict, so Poll rounds

@@ -23,13 +23,20 @@ const steadyRecvRing = 8
 // quiescent Poll round, then deliver the ACK datagrams back to the
 // sender. Both sides recycle every datagram buffer they consume, and
 // RetireVerified keeps per-TPDU, per-frame and stream state bounded,
-// so after warmup a step touches only pooled records.
-func newSteadyRecvPair(tb testing.TB) (s *Sender, r *Receiver, step func()) {
+// so after warmup a step touches only pooled records. With framed set
+// every step ends a frame and the receiver consumes through OnFrame,
+// whose calls frames counts.
+func newSteadyRecvPair(tb testing.TB, framed bool) (s *Sender, r *Receiver, frames *int, step func()) {
 	tb.Helper()
 	var data, acks [][]byte
 	s = NewSender(SenderConfig{CID: 7, MTU: 1400, ElemSize: 4, TPDUElems: 256}, nil)
 	s.out = func(d []byte) { data = append(data, d) }
-	r, err := NewReceiver(ReceiverConfig{MTU: 1400, RetireVerified: steadyRecvRing}, func(d []byte) { acks = append(acks, d) })
+	cfg := ReceiverConfig{MTU: 1400, RetireVerified: steadyRecvRing}
+	frames = new(int)
+	if framed {
+		cfg.OnFrame = func(uint32, []byte) { *frames++ }
+	}
+	r, err := NewReceiver(cfg, func(d []byte) { acks = append(acks, d) })
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,6 +49,9 @@ func newSteadyRecvPair(tb testing.TB) (s *Sender, r *Receiver, step func()) {
 	step = func() {
 		if err := s.Write(payload); err != nil {
 			tb.Fatal(err)
+		}
+		if framed {
+			s.EndFrame()
 		}
 		for _, d := range data {
 			if err := r.HandlePacket(d); err != nil {
@@ -64,37 +74,49 @@ func newSteadyRecvPair(tb testing.TB) (s *Sender, r *Receiver, step func()) {
 		}
 		acks = acks[:0]
 	}
-	return s, r, step
+	return s, r, frames, step
 }
 
 // TestSteadyStateRecvZeroAlloc pins the per-TPDU allocation count of
 // the steady-state receive path — envelope decode, chunk ingest,
 // incremental WSC-2 verification, placement, ACK emission, retirement
 // — at zero once the pools are primed. It is the receive twin of
-// TestSteadyStateSendZeroAlloc.
+// TestSteadyStateSendZeroAlloc. The framed row consumes through
+// OnFrame, so retirement waits for each frame's delivery.
 func TestSteadyStateRecvZeroAlloc(t *testing.T) {
-	s, r, step := newSteadyRecvPair(t)
-	for i := 0; i < 64; i++ { // prime pools, maps, scratch and the stream
-		step()
-	}
-	before := r.VerifiedCount()
-	allocs := testing.AllocsPerRun(100, step)
-	if allocs != 0 && !raceEnabled {
-		t.Errorf("steady-state receive path allocates %.1f objects per TPDU, want 0", allocs)
-	}
-	// Harness sanity: the measurement loop really verified TPDUs, acks
-	// really drained, and retirement really bounded state.
-	if got := r.VerifiedCount() - before; got < 100 {
-		t.Fatalf("measurement loop verified %d TPDUs — the harness is broken", got)
-	}
-	if s.Unacked() > 1 {
-		t.Fatalf("unacked backlog grew to %d; acks are not being consumed", s.Unacked())
-	}
-	if got := len(r.tids); got > steadyRecvRing+1 {
-		t.Fatalf("retirement is not bounding receive state: %d TPDUs still tracked", got)
-	}
-	if r.StreamBase() == 0 {
-		t.Fatal("retirement never trimmed the delivered stream")
+	for _, framed := range []bool{false, true} {
+		name := "unframed"
+		if framed {
+			name = "OnFrame"
+		}
+		t.Run(name, func(t *testing.T) {
+			s, r, frames, step := newSteadyRecvPair(t, framed)
+			for i := 0; i < 64; i++ { // prime pools, maps, scratch and the stream
+				step()
+			}
+			before, framesBefore := r.VerifiedCount(), *frames
+			allocs := testing.AllocsPerRun(100, step)
+			if allocs != 0 && !raceEnabled {
+				t.Errorf("steady-state receive path allocates %.1f objects per TPDU, want 0", allocs)
+			}
+			// Harness sanity: the measurement loop really verified TPDUs,
+			// acks really drained, and retirement really bounded state.
+			if got := r.VerifiedCount() - before; got < 100 {
+				t.Fatalf("measurement loop verified %d TPDUs — the harness is broken", got)
+			}
+			if framed && *frames-framesBefore < 100 {
+				t.Fatalf("measurement loop delivered %d frames — the harness is broken", *frames-framesBefore)
+			}
+			if s.Unacked() > 1 {
+				t.Fatalf("unacked backlog grew to %d; acks are not being consumed", s.Unacked())
+			}
+			if got := len(r.tids); got > steadyRecvRing+1 {
+				t.Fatalf("retirement is not bounding receive state: %d TPDUs still tracked", got)
+			}
+			if r.base() == 0 {
+				t.Fatal("retirement never trimmed the delivered stream")
+			}
+		})
 	}
 }
 
@@ -297,7 +319,7 @@ func TestNewReceiverAllocs(t *testing.T) {
 // BenchmarkSteadyStateRecv reports the allocation profile and cost of
 // one full TPDU round trip through the receive path.
 func BenchmarkSteadyStateRecv(b *testing.B) {
-	s, r, step := newSteadyRecvPair(b)
+	s, r, _, step := newSteadyRecvPair(b, false)
 	for i := 0; i < 64; i++ {
 		step()
 	}
