@@ -41,9 +41,10 @@ type seg struct{ slot, off, n int32 }
 // Datagram and Addr index the result. All buffers are preallocated: a
 // steady Read loop allocates nothing, on every implementation path.
 //
-// The Reader owns the socket read deadline during Read (the portable
-// drain rewrites it), so callers that want a bounded blocking wait
-// must set their deadline before every Read call. GRO is a socket
+// The portable drain arms a short read deadline of its own and clears
+// it before Read returns: a caller that arms no deadline blocks until
+// data arrives or the socket is closed, and one that wants a bounded
+// wait sets its deadline before every Read call. GRO is a socket
 // option: every Reader sharing a socket with a GRO Reader must have
 // 64 KiB slots too.
 type Reader struct {
@@ -124,6 +125,7 @@ func (r *Reader) Read() (int, error) {
 			r.addrs[i] = addr
 			r.segs = append(r.segs, seg{slot: int32(i), n: int32(n)})
 		}
+		_ = r.conn.SetReadDeadline(time.Time{})
 	}
 	return len(r.segs), nil
 }

@@ -113,6 +113,41 @@ func TestReaderDeadline(t *testing.T) {
 	}
 }
 
+// TestReaderPortableClearsDeadline pins that the portable drain leaves
+// no deadline of its own behind: a Read with no caller-set deadline
+// after a drained burst blocks until the next datagram arrives.
+func TestReaderPortableClearsDeadline(t *testing.T) {
+	srv, cli := udpPair(t)
+	r := NewReader(srv, 8, 1500)
+	r.mm = nil
+	// A lost datagram must fail the test, not hang it.
+	watchdog := time.AfterFunc(5*time.Second, func() { srv.Close() })
+	defer watchdog.Stop()
+	for _, msg := range []string{"burst-0", "burst-1"} {
+		if _, err := cli.Write([]byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for got := 0; got < 2; {
+		n, err := r.Read()
+		if err != nil {
+			t.Fatalf("Read of the burst after %d datagrams: %v", got, err)
+		}
+		got += n
+	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		_, _ = cli.Write([]byte("late"))
+	}()
+	n, err := r.Read()
+	if err != nil {
+		t.Fatalf("Read with no caller deadline = %v, want the late datagram", err)
+	}
+	if n != 1 || string(r.Datagram(0)) != "late" {
+		t.Fatalf("Read = %d datagrams, first %q; want 1, \"late\"", n, r.Datagram(0))
+	}
+}
+
 func TestReaderClosedSocket(t *testing.T) {
 	srv, _ := udpPair(t)
 	r := NewReader(srv, 8, 1500)

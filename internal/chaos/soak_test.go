@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -166,6 +167,13 @@ func TestChaosSoak(t *testing.T) {
 			inflicted:  func(up, _ chaos.Counters) bool { return up.Blackholed > 0 },
 		},
 	}
+	// The soak runs against a multi-shard engine: spoofed sources and
+	// the real connection land on different shards while every
+	// invariant below (byte-exact stream, coherent telemetry) must
+	// still hold. The shard count is GOMAXPROCS, read at Serve; the
+	// parallel subtests finish before this test's cleanup restores it.
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -188,11 +196,6 @@ func runSoak(t *testing.T, tc soakCase) {
 		ReapAfter:     400,
 		OverlapPolicy: tc.policy,
 		Telemetry:     reg,
-		// The soak runs against an explicitly multi-shard engine: spoofed
-		// sources and the real connection land on different shards while
-		// every invariant below (byte-exact stream, coherent telemetry)
-		// must still hold.
-		Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,28 +59,45 @@ func (c *Chunk) Split(n uint32) (first, second Chunk, err error) {
 // even a single-element chunk exceeds the budget, SplitToFit reports
 // ErrTooLarge since elements are atomic.
 func (c *Chunk) SplitToFit(budget int) ([]Chunk, error) {
+	var out []Chunk
+	err := c.SplitToFitFunc(budget, func(pc Chunk) error {
+		out = append(out, pc)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SplitToFitFunc hands each piece SplitToFit would return to fn, in
+// order, without collecting them: a caller that places each piece at
+// once fragments without allocating. It reports SplitToFit's errors
+// before the first call and stops at fn's first error, returning it.
+func (c *Chunk) SplitToFitFunc(budget int, fn func(Chunk) error) error {
 	if c.IsTerminator() {
-		return nil, ErrSplitRange
+		return ErrSplitRange
 	}
 	if c.EncodedLen() <= budget {
-		return []Chunk{*c}, nil //lint:allow hotalloc single-piece path used by Pack; the hot Encode pre-checks the budget and skips SplitToFit
+		return fn(*c)
 	}
 	if c.Type.Control() {
-		return nil, ErrControlOp
+		return ErrControlOp
 	}
 	perChunk := (budget - HeaderSize) / int(c.Size)
 	if perChunk < 1 {
-		return nil, ErrTooLarge
+		return ErrTooLarge
 	}
-	out := make([]Chunk, 0, (c.Elems()+perChunk-1)/perChunk) //lint:allow hotalloc fragmentation path: runs only when a chunk exceeds the MTU budget
 	rest := *c
 	for rest.Elems() > perChunk {
 		head, tail, err := rest.Split(uint32(perChunk))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, head)
+		if err := fn(head); err != nil {
+			return err
+		}
 		rest = tail
 	}
-	return append(out, rest), nil
+	return fn(rest)
 }

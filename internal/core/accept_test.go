@@ -19,8 +19,8 @@ import (
 // control captured instead of sent.
 func injectServer(t *testing.T, reg *telemetry.Registry) *Server {
 	t.Helper()
+	setShards(t, 8)
 	srv, err := Serve("127.0.0.1:0", Config{
-		Shards:     8,
 		PollEvery:  time.Hour,
 		Telemetry:  reg,
 		ControlOut: func([]byte, *net.UDPAddr) {},

@@ -66,8 +66,8 @@ func batchFrom(c int) netip.AddrPort {
 func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nConns, batchSize int) (map[uint32][]byte, string) {
 	t.Helper()
 	reg := telemetry.New(0)
+	setShards(t, 4)
 	srv, err := Serve("127.0.0.1:0", Config{
-		Shards:     4,
 		Telemetry:  reg,
 		PollEvery:  time.Hour,
 		ControlOut: func([]byte, *net.UDPAddr) {},
@@ -132,26 +132,23 @@ func TestBatchDeterminism(t *testing.T) {
 
 // TestReadLoopClosedSocket is the regression test for the read-loop
 // error handling: a socket that fails permanently (closed underneath
-// the server) must count recv_sock_err and END the reader goroutines
-// rather than spinning on the dead descriptor, and Shutdown must still
-// return promptly afterwards. The subtest names the read loop's batch
+// the server) must count recv_sock_err and END the read loop rather
+// than spinning on the dead descriptor, and Shutdown must still return
+// promptly afterwards. The subtest names the read loop's batch
 // width.
 func TestReadLoopClosedSocket(t *testing.T) {
 	t.Run(fmt.Sprintf("recvBatch=%d", batchWidth), func(t *testing.T) {
 		reg := telemetry.New(0)
-		srv, err := Serve("127.0.0.1:0", Config{
-			Telemetry: reg,
-			Readers:   2,
-		})
+		srv, err := Serve("127.0.0.1:0", Config{Telemetry: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
 		_ = srv.sock.Close()
 
 		deadline := time.Now().Add(5 * time.Second)
-		for reg.Snapshot().Scopes["server"].Counters["recv_sock_err"] < 2 {
+		for reg.Snapshot().Scopes["server"].Counters["recv_sock_err"] < 1 {
 			if time.Now().After(deadline) {
-				t.Fatalf("readers did not observe the closed socket; recv_sock_err=%d",
+				t.Fatalf("read loop did not observe the closed socket; recv_sock_err=%d",
 					reg.Snapshot().Scopes["server"].Counters["recv_sock_err"])
 			}
 			time.Sleep(5 * time.Millisecond)

@@ -82,10 +82,9 @@ type Config struct {
 	// forgotten (their memory freed), counted as "conns_expired" and
 	// recorded as an "expired" lifecycle event.
 	IdleTimeout time.Duration
-	// ReapAfter, when > 0, drops receiver-side state of an incomplete
-	// TPDU that makes no progress for ReapAfter poll rounds, bounding
-	// the memory a lossy or dead peer can pin; 0 means 250 rounds
-	// (use a negative value to disable reaping entirely).
+	// ReapAfter drops receiver-side state of an incomplete TPDU that
+	// makes no progress for ReapAfter poll rounds, bounding the memory
+	// a lossy or dead peer can pin; 0 means 250 rounds.
 	ReapAfter int
 	// OverlapPolicy selects the receive-side conflicting-overlap
 	// policy (see transport.ReceiverConfig.OverlapPolicy). Under
@@ -107,31 +106,17 @@ type Config struct {
 	// Telemetry, when set, receives the connection's runtime metrics
 	// and chunk-lifecycle events: a Dial side registers the scope
 	// "conn.<CID>", a Serve side registers "server" plus one
-	// "recv.shard<N>" aggregate scope per shard (or, with
-	// PerConnTelemetry, one "recv.<CID>@<addr>" scope per peer
-	// connection). nil disables instrumentation at no cost.
+	// "recv.shard<N>" aggregate scope per shard, so the scope count
+	// does not grow with the connection count. nil disables
+	// instrumentation at no cost.
 	Telemetry *telemetry.Registry
-	// PerConnTelemetry opts the Serve side into one telemetry scope per
-	// peer connection instead of the per-shard aggregates. Scope count
-	// then grows with the connection count — useful for debugging, a
-	// memory leak at hundreds of thousands of connections.
-	PerConnTelemetry bool
 
-	// Shards is the Serve-side shard count for the connection engine
-	// (internal/shard); 0 means runtime.GOMAXPROCS(0). Any value yields
-	// identical protocol behavior — shards change only lock granularity
-	// and timer-wheel partitioning.
-	Shards int
 	// MaxConns, when > 0, bounds live server-side connections:
 	// establishment past the cap is refused (datagram dropped,
 	// "conns_refused" counted, a "refused" lifecycle event recorded
 	// with its C.ID) instead of allocating receiver state for
 	// arbitrarily many spoofed (C.ID, source) identities.
 	MaxConns int
-	// Readers is the number of concurrent UDP read goroutines on the
-	// Serve side; 0 means 1. Useful with Shards > 1: independent
-	// readers keep multiple shards busy concurrently.
-	Readers int
 	// ControlOut, when set on the Serve side, replaces the UDP reverse
 	// path: outgoing control datagrams (ACK/NACK) are handed to the
 	// callback instead of the socket. From the read loop it is called
@@ -163,8 +148,6 @@ func (c *Config) fill() {
 	}
 	if c.ReapAfter == 0 {
 		c.ReapAfter = 250
-	} else if c.ReapAfter < 0 {
-		c.ReapAfter = 0
 	}
 }
 
@@ -248,6 +231,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 		buf := make([]byte, 65536)
 		var dec packet.Packet
 		for {
+			// Keep this deadline and Shutdown's join order: they pace the benchmark closer (EXPERIMENTS S1).
 			_ = sock.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //lint:allow detrand socket read deadline: I/O pacing, not protocol state
 			n, err := sock.Read(buf)
 			if err != nil {
@@ -388,12 +372,6 @@ func (c *Conn) Unacked() int {
 	return c.s.Unacked()
 }
 
-func (c *Conn) drained() (drained bool, shut bool, dead error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s.Drained(), c.shut, c.dead
-}
-
 // Stats returns (TPDUs sent, retransmissions).
 func (c *Conn) Stats() (sent, retransmits int) {
 	c.mu.Lock()
@@ -424,24 +402,33 @@ func (c *Conn) RetransmitTimeline() []transport.RetransmitEvent {
 // returns ErrPeerDead immediately; on an already shut-down connection
 // that never drained it returns ErrShutdown without waiting.
 func (c *Conn) WaitDrained(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout) //lint:allow detrand test/CLI convenience wait; bounds wall time, not protocol behavior
-	for time.Now().Before(deadline) {   //lint:allow detrand test/CLI convenience wait; bounds wall time, not protocol behavior
-		ok, shut, dead := c.drained()
-		if dead != nil {
-			c.Shutdown()
-			return dead
-		}
-		if ok {
-			c.Shutdown()
-			return nil
-		}
-		if shut {
-			return ErrShutdown
-		}
-		time.Sleep(5 * time.Millisecond)
+	expired := false // guarded by mu
+	t := time.AfterFunc(timeout, func() {
+		c.mu.Lock()
+		expired = true
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer t.Stop()
+	c.mu.Lock()
+	// ACKs, peer death, Shutdown and the timer all broadcast.
+	for !c.s.Drained() && !c.shut && c.dead == nil && !expired {
+		c.cond.Wait()
+	}
+	drained, shut, dead, unacked := c.s.Drained(), c.shut, c.dead, c.s.Unacked()
+	c.mu.Unlock()
+	switch {
+	case dead != nil:
+		c.Shutdown()
+		return dead
+	case drained:
+		c.Shutdown()
+		return nil
+	case shut:
+		return ErrShutdown
 	}
 	c.Shutdown()
-	return fmt.Errorf("%w: %d TPDUs unacknowledged", ErrTimeout, c.Unacked())
+	return fmt.Errorf("%w: %d TPDUs unacknowledged", ErrTimeout, unacked)
 }
 
 // Shutdown stops the background goroutines and closes the socket.

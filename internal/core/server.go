@@ -95,8 +95,8 @@ func (q *ctrlQueue) add(c *serverConn, d []byte) {
 // address the connection was established from, and delivers frames
 // through the Config callbacks.
 //
-// Connections are demultiplexed over Config.Shards independent shards
-// (internal/shard), each with its own table, lock and timer wheel —
+// Connections are demultiplexed over runtime.GOMAXPROCS(0) independent
+// shards (internal/shard), each with its own table, lock and timer wheel —
 // per-chunk self-description means no reassembly state is shared
 // across connections, so steady-state datagram handling touches
 // exactly one shard lock. Timer-driven work (receiver poll rounds,
@@ -123,7 +123,7 @@ type Server struct {
 	telRefused     *telemetry.Counter
 	telSetupErr    *telemetry.Counter
 	telSockErr     *telemetry.Counter
-	telControlOut  *telemetry.Counter // control envelopes the read loops sent, added once per flush
+	telControlOut  *telemetry.Counter // control envelopes the read loop sent, added once per flush
 	telOverflow    *telemetry.Counter // connections established while the Accept backlog was full
 	telLive        *telemetry.Gauge
 	telRing        *telemetry.Ring
@@ -170,7 +170,6 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		srv.idleTicks = uint64((cfg.IdleTimeout + cfg.PollEvery - 1) / cfg.PollEvery)
 	}
 	srv.eng = shard.New(shard.Config[*serverConn]{
-		Shards:    cfg.Shards,
 		MaxConns:  cfg.MaxConns,
 		IdleTicks: srv.idleTicks,
 		Poll: func(_ shard.Key, c *serverConn) bool {
@@ -178,14 +177,11 @@ func Serve(addr string, cfg Config) (*Server, error) {
 			return c.r.NeedsPoll()
 		},
 	})
-	// One aggregate receiver sink per shard: connection count no longer
-	// drives scope count (PerConnTelemetry opts back into per-conn
-	// scopes, at one scope per connection).
+	// One aggregate receiver sink per shard: connection count does not
+	// drive scope count.
 	srv.shardSinks = make([]telemetry.Sink, srv.eng.ShardCount())
-	if !cfg.PerConnTelemetry {
-		for i := range srv.shardSinks {
-			srv.shardSinks[i] = cfg.Telemetry.Sink(fmt.Sprintf("recv.shard%d", i))
-		}
+	for i := range srv.shardSinks {
+		srv.shardSinks[i] = cfg.Telemetry.Sink(fmt.Sprintf("recv.shard%d", i))
 	}
 	// Validate the receiver configuration once, up front, so Serve
 	// fails fast the way it used to instead of on the first datagram.
@@ -194,14 +190,8 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		return nil, err
 	}
 
-	readers := cfg.Readers
-	if readers <= 0 {
-		readers = 1
-	}
-	srv.wg.Add(readers + 1)
-	for i := 0; i < readers; i++ {
-		go srv.readLoop()
-	}
+	srv.wg.Add(2)
+	go srv.readLoop()
 	go srv.tickLoop()
 	return srv, nil
 }
@@ -236,11 +226,7 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 	peer := net.UDPAddrFromAddrPort(netip.AddrPortFrom(from.Addr().Unmap(), from.Port()))
 	c, err := sh.Establish(key, func() (*serverConn, error) {
 		cfg := s.receiverConfig()
-		if s.cfg.PerConnTelemetry {
-			cfg.Tel = s.cfg.Telemetry.Sink(fmt.Sprintf("recv.%d@%s", key.CID, key.Addr))
-		} else {
-			cfg.Tel = s.shardSinks[s.eng.ShardIndex(key)]
-		}
+		cfg.Tel = s.shardSinks[s.eng.ShardIndex(key)]
 		// Control always goes to the ESTABLISHMENT address, no matter
 		// who sent the datagram that triggered it. Inside a read-loop
 		// batch it waits in the loop's queue; anywhere else it is sent
@@ -290,15 +276,9 @@ func (s *Server) readLoop() {
 	q := &ctrlQueue{mtu: s.cfg.MTU}
 	var backoff time.Duration
 	for {
-		if !br.Batched() {
-			// The portable drain rewrites the deadline during Read;
-			// restore the shutdown-poll cadence before each wait.
-			_ = s.sock.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //lint:allow detrand socket read deadline: I/O pacing, not protocol state
-		}
-		// On the kernel path no deadline is armed at all: Shutdown
-		// closes the socket, which wakes the blocked read with
-		// net.ErrClosed. That keeps the steady wakeup free of a
-		// per-wakeup timer reset.
+		// No deadline is armed: Shutdown closes the socket, which wakes
+		// the blocked read with net.ErrClosed. That keeps the steady
+		// wakeup free of a per-wakeup timer reset.
 		n, err := br.Read()
 		if err != nil {
 			if !s.recvErr(err, &backoff) {
@@ -342,22 +322,12 @@ func (s *Server) flushControl(q *ctrlQueue) {
 	q.dgrams, q.conns = q.dgrams[:0], q.conns[:0]
 }
 
-// recvErr classifies a read-loop socket error. Deadline expiry is the
-// done-channel poll cadence; a closed socket ends the loop; anything
-// else is counted as recv_sock_err and backed off exponentially
-// (capped, interruptible by shutdown) so a persistently failing socket
-// cannot spin a reader at full speed. Returns false when the loop
-// should exit.
+// recvErr classifies a read-loop socket error. A closed socket ends
+// the loop; anything else is counted as recv_sock_err and backed off
+// exponentially (capped, interruptible by shutdown) so a persistently
+// failing socket cannot spin the reader at full speed. Returns false
+// when the loop should exit.
 func (s *Server) recvErr(err error, backoff *time.Duration) bool {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		select {
-		case <-s.done:
-			return false
-		default:
-			return true
-		}
-	}
 	if errors.Is(err, net.ErrClosed) {
 		select {
 		case <-s.done:
@@ -548,9 +518,8 @@ func (s *Server) accept(k shard.Key) *ServerConn {
 }
 
 // Shutdown stops the server. It is idempotent and safe to call
-// concurrently. The socket is closed before the goroutine join: a
-// batched reader blocks with no deadline armed, and the close is what
-// wakes it.
+// concurrently. The socket is closed before the goroutine join: the
+// reader blocks with no deadline armed, and the close is what wakes it.
 func (s *Server) Shutdown() {
 	s.shutOnce.Do(func() { close(s.done) })
 	_ = s.sock.Close()

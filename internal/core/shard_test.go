@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +21,14 @@ import (
 	"chunks/internal/telemetry"
 	"chunks/internal/transport"
 )
+
+// setShards makes Servers started by this test run n shards: the
+// shard count is runtime.GOMAXPROCS, restored when the test ends.
+func setShards(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // fakePeer builds a deterministic in-process source address.
 func fakePeer(i int) netip.AddrPort {
@@ -91,8 +100,8 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 	t.Helper()
 	res := shardRunResult{streams: map[string][]byte{}}
 	reg := telemetry.New(0)
+	setShards(t, shards)
 	srv, err := Serve("127.0.0.1:0", Config{
-		Shards:    shards,
 		Telemetry: reg,
 		PollEvery: time.Hour, // no ticks during the run: fully synchronous
 		OnTPDU: func(tid uint32, v errdet.Verdict) {
@@ -116,6 +125,9 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 		t.Fatal(err)
 	}
 	defer srv.Shutdown()
+	if got := srv.eng.ShardCount(); got != shards {
+		t.Fatalf("server runs %d shards, want %d", got, shards)
+	}
 
 	const peers = 6
 	queues := make([][][]byte, peers)
@@ -191,7 +203,7 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 // count changes lock granularity and timer partitioning, never
 // behavior. A seeded multi-peer run must produce identical
 // per-connection streams, findings, callback orders and control-path
-// orders at Shards=1 and Shards=8.
+// orders at 1 and 8 shards.
 func TestShardCountDeterminism(t *testing.T) {
 	one := runShardWorkload(t, 1)
 	eight := runShardWorkload(t, 8)
@@ -201,7 +213,7 @@ func TestShardCountDeterminism(t *testing.T) {
 	}
 	for key, s1 := range one.streams {
 		if !bytes.Equal(s1, eight.streams[key]) {
-			t.Errorf("stream %s differs between Shards=1 and Shards=8", key)
+			t.Errorf("stream %s differs between 1 and 8 shards", key)
 		}
 		if len(s1) == 0 {
 			t.Errorf("stream %s is empty", key)
@@ -236,8 +248,8 @@ func TestShardCountDeterminism(t *testing.T) {
 // and records a "refused" lifecycle event with each refused C.ID.
 func TestMaxConnsAdmission(t *testing.T) {
 	reg := telemetry.New(0)
+	setShards(t, 4)
 	srv, err := Serve("127.0.0.1:0", Config{
-		Shards:    4,
 		MaxConns:  2,
 		PollEvery: time.Hour,
 		Telemetry: reg,
@@ -316,34 +328,31 @@ func TestMaxConnsRefusedTelemetry(t *testing.T) {
 	}
 }
 
-// TestTelemetryScopesBounded pins the scope-leak fix: by default the
-// receive side registers one aggregate scope per shard — scope count
-// must not grow with the connection count. PerConnTelemetry opts back
-// into the per-connection scopes.
+// TestTelemetryScopesBounded pins the scope-leak fix: the receive side
+// registers one aggregate scope per shard — scope count must not grow
+// with the connection count.
 func TestTelemetryScopesBounded(t *testing.T) {
 	const conns = 32
-	load := func(srv *Server) {
-		for i := 0; i < conns; i++ {
-			var dgrams [][]byte
-			s := transport.NewSender(transport.SenderConfig{CID: uint32(i + 1), TPDUElems: 16},
-				func(d []byte) { dgrams = append(dgrams, append([]byte(nil), d...)) })
-			if err := s.Write(testData(64, int64(i))); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range dgrams {
-				inject(srv, d, fakePeer(i))
-			}
-		}
-	}
 	regAgg := telemetry.New(64)
-	srv, err := Serve("127.0.0.1:0", Config{Shards: 4, PollEvery: time.Hour, Telemetry: regAgg})
+	setShards(t, 4)
+	srv, err := Serve("127.0.0.1:0", Config{PollEvery: time.Hour, Telemetry: regAgg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	load(srv)
+	for i := 0; i < conns; i++ {
+		var dgrams [][]byte
+		s := transport.NewSender(transport.SenderConfig{CID: uint32(i + 1), TPDUElems: 16},
+			func(d []byte) { dgrams = append(dgrams, append([]byte(nil), d...)) })
+		if err := s.Write(testData(64, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dgrams {
+			inject(srv, d, fakePeer(i))
+		}
+	}
 	srv.Shutdown()
 	var recvScopes []string
 	for name := range regAgg.Snapshot().Scopes {
@@ -353,31 +362,12 @@ func TestTelemetryScopesBounded(t *testing.T) {
 	}
 	sort.Strings(recvScopes)
 	if len(recvScopes) != 4 {
-		t.Fatalf("default mode: %d recv scopes for %d conns, want 4 (one per shard): %v",
+		t.Fatalf("%d recv scopes for %d conns, want 4 (one per shard): %v",
 			len(recvScopes), conns, recvScopes)
 	}
 	// The aggregates carry the traffic: TPDUs verified across shards
 	// must equal the connection count (one TPDU each).
 	if total := recvCounter(regAgg, "tpdus_verified"); total != conns {
 		t.Fatalf("aggregate tpdus_verified = %d, want %d", total, conns)
-	}
-
-	regPer := telemetry.New(64)
-	srv2, err := Serve("127.0.0.1:0", Config{
-		Shards: 4, PollEvery: time.Hour, Telemetry: regPer, PerConnTelemetry: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	load(srv2)
-	srv2.Shutdown()
-	perScopes := 0
-	for name := range regPer.Snapshot().Scopes {
-		if len(name) >= 5 && name[:5] == "recv." {
-			perScopes++
-		}
-	}
-	if perScopes != conns {
-		t.Fatalf("PerConnTelemetry: %d recv scopes, want %d (one per conn)", perScopes, conns)
 	}
 }

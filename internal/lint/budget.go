@@ -5,4 +5,4 @@ package lint
 // when the live count drifts from this constant, so adding — or
 // removing — a suppression forces an explicit, reviewed update here.
 // The budget is a ratchet: prefer fixing a finding over raising it.
-const AllowBudget = 31
+const AllowBudget = 26

@@ -65,21 +65,23 @@ func (pk *Packer) Pack(chs []chunk.Chunk) ([]Packet, error) {
 	}
 
 	for i := range chs {
-		pieces, err := chs[i].SplitToFit(pk.budget())
-		if err != nil {
-			return nil, err
-		}
-		if len(pieces) > 1 {
-			c := &chs[i]
-			pk.Events.Record(telemetry.EvFragmented, c.C.ID, c.T.ID, c.T.SN, int64(len(pieces)))
-		}
-		for _, pc := range pieces {
+		pieces := 0
+		err := chs[i].SplitToFitFunc(pk.budget(), func(pc chunk.Chunk) error {
+			pieces++
 			n := pc.EncodedLen()
 			if used+n > pk.budget() {
 				flush()
 			}
 			cur.Chunks = append(cur.Chunks, pc)
 			used += n
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if pieces > 1 {
+			c := &chs[i]
+			pk.Events.Record(telemetry.EvFragmented, c.C.ID, c.T.ID, c.T.SN, int64(pieces))
 		}
 	}
 	flush()
@@ -154,18 +156,19 @@ func (pk *Packer) Encode(chs []chunk.Chunk) ([][]byte, error) {
 			}
 			continue
 		}
-		pieces, err := chs[i].SplitToFit(budget)
+		// Each piece is placed as it is cut: a kept scratch of pieces
+		// would stay live with every sender.
+		pieces := 0
+		err := chs[i].SplitToFitFunc(budget, func(pc chunk.Chunk) error {
+			pieces++
+			return place(&pc)
+		})
 		if err != nil {
 			return nil, err
 		}
-		if len(pieces) > 1 {
+		if pieces > 1 {
 			c := &chs[i]
-			pk.Events.Record(telemetry.EvFragmented, c.C.ID, c.T.ID, c.T.SN, int64(len(pieces)))
-		}
-		for j := range pieces {
-			if err := place(&pieces[j]); err != nil {
-				return nil, err
-			}
+			pk.Events.Record(telemetry.EvFragmented, c.C.ID, c.T.ID, c.T.SN, int64(pieces))
 		}
 	}
 	if err := flush(); err != nil {

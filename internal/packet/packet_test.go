@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -225,33 +226,84 @@ func TestPackerTinyMTU(t *testing.T) {
 	}
 }
 
+// TestEncodeUnpackRoundTrip pins Encode to Pack followed by AppendTo,
+// byte for byte, and Unpack as its inverse: equal chunks into padded
+// packets, and chunks at 1×, 2.5× and 13× the packet's chunk budget
+// between small ones, padded and compact. Repeated calls reuse the
+// Packer's fragmentation scratch.
 func TestEncodeUnpackRoundTrip(t *testing.T) {
-	var chs []chunk.Chunk
+	var even []chunk.Chunk
 	for i := 0; i < 7; i++ {
-		chs = append(chs, dataChunk(uint64(i*9), uint64(i*9), uint64(i*9), 9, i == 6))
+		even = append(even, dataChunk(uint64(i*9), uint64(i*9), uint64(i*9), 9, i == 6))
 	}
-	pk := Packer{MTU: 160, Pad: true}
-	datagrams, err := pk.Encode(chs)
-	if err != nil {
-		t.Fatal(err)
+	const mtu = 256
+	budget := mtu - HeaderSize
+	var oversize []chunk.Chunk
+	var sn uint64
+	for i, encLen := range []int{chunk.HeaderSize + 5, budget, budget * 5 / 2, chunk.HeaderSize + 9, 13 * budget} {
+		elems := encLen - chunk.HeaderSize
+		oversize = append(oversize, dataChunk(sn, sn, sn, elems, i == 4))
+		sn += uint64(elems)
 	}
-	for _, d := range datagrams {
-		if len(d) != pk.MTU {
-			t.Fatalf("padded datagram is %d bytes", len(d))
-		}
-	}
-	back, err := Unpack(datagrams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merged := chunk.MergeAll(back)
-	want := chunk.MergeAll(chs)
-	if len(merged) != len(want) {
-		t.Fatalf("round trip: %d merged chunks, want %d", len(merged), len(want))
-	}
-	for i := range merged {
-		if !merged[i].Equal(&want[i]) {
-			t.Fatalf("merged chunk %d differs", i)
-		}
+	for _, tc := range []struct {
+		name string
+		chs  []chunk.Chunk
+		mtu  int
+		pad  bool
+	}{
+		{"even/pad", even, 160, true},
+		{"oversize/compact", oversize, mtu, false},
+		{"oversize/pad", oversize, mtu, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pk := Packer{MTU: tc.mtu, Pad: tc.pad}
+			pkts, err := pk.Pack(tc.chs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			padTo := 0
+			if tc.pad {
+				padTo = tc.mtu
+			}
+			var packed [][]byte
+			for i := range pkts {
+				b, err := pkts[i].AppendTo(nil, padTo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				packed = append(packed, b)
+			}
+			want := chunk.MergeAll(tc.chs)
+			for round := 0; round < 3; round++ {
+				datagrams, err := pk.Encode(tc.chs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(datagrams) != len(packed) {
+					t.Fatalf("round %d: Encode made %d datagrams, Pack %d", round, len(datagrams), len(packed))
+				}
+				for i, d := range datagrams {
+					if tc.pad && len(d) != pk.MTU {
+						t.Fatalf("padded datagram is %d bytes", len(d))
+					}
+					if !bytes.Equal(d, packed[i]) {
+						t.Fatalf("round %d: datagram %d differs from Pack+AppendTo", round, i)
+					}
+				}
+				back, err := Unpack(datagrams)
+				if err != nil {
+					t.Fatal(err)
+				}
+				merged := chunk.MergeAll(back)
+				if len(merged) != len(want) {
+					t.Fatalf("round trip: %d merged chunks, want %d", len(merged), len(want))
+				}
+				for i := range merged {
+					if !merged[i].Equal(&want[i]) {
+						t.Fatalf("merged chunk %d differs", i)
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,23 +2,25 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"chunks/internal/chunk"
 )
 
-// newSteadySender builds a sender whose datagram consumer recycles
-// every buffer immediately (the zero-alloc contract's opt-in side),
-// plus a step function driving one full TPDU through the send path:
-// write one TPDU's worth of elements, then acknowledge the TPDU the
-// write cut. After warmup every step reuses pooled records, payload
-// stores, the emit scratch and pooled datagram buffers.
-func newSteadySender(tb testing.TB) (s *Sender, step func()) {
+// newSteadySender builds a sender of tpduElems-element TPDUs over
+// mtu-byte datagrams whose datagram consumer recycles every buffer
+// immediately (the zero-alloc contract's opt-in side), plus a step
+// function driving one full TPDU through the send path: write one
+// TPDU's worth of elements, then acknowledge the TPDU the write cut.
+// After warmup every step reuses pooled records, payload stores, the
+// emit and fragmentation scratch and pooled datagram buffers.
+func newSteadySender(tb testing.TB, mtu, tpduElems int) (s *Sender, step func()) {
 	tb.Helper()
-	s = NewSender(SenderConfig{CID: 7, MTU: 1400, ElemSize: 4, TPDUElems: 256}, nil)
+	s = NewSender(SenderConfig{CID: 7, MTU: mtu, ElemSize: 4, TPDUElems: tpduElems}, nil)
 	s.out = func(d []byte) { s.Recycle(d) }
 
-	payload := make([]byte, 256*4)
+	payload := make([]byte, tpduElems*4)
 	for i := range payload {
 		payload[i] = byte(i * 131)
 	}
@@ -45,25 +47,35 @@ func newSteadySender(tb testing.TB) (s *Sender, step func()) {
 
 // TestSteadyStateSendZeroAlloc pins the per-TPDU allocation count of
 // the steady-state send path — write, cut, checksum, envelope,
-// transmit, acknowledge — at zero once the pools are primed.
+// transmit, acknowledge — at zero once the pools are primed, both for
+// a TPDU that fits one datagram and for TPDUs that Encode fragments
+// across several (the bulk_mtu and small_dgram benchmark shapes).
 func TestSteadyStateSendZeroAlloc(t *testing.T) {
-	s, step := newSteadySender(t)
-	for i := 0; i < 64; i++ { // prime buffers, pools and the unacked map
-		step()
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the alloc count is pinned in the uninstrumented build")
-	}
-	before := s.TPDUsSent
-	allocs := testing.AllocsPerRun(100, step)
-	if allocs != 0 {
-		t.Errorf("steady-state send path allocates %.1f objects per TPDU, want 0", allocs)
-	}
-	if s.TPDUsSent == before {
-		t.Fatal("measurement loop cut no TPDUs — the harness is broken")
-	}
-	if s.Unacked() > 1 {
-		t.Fatalf("unacked backlog grew to %d; acks are not being consumed", s.Unacked())
+	for _, tc := range []struct{ mtu, tpduElems int }{
+		{1400, 256},
+		{1400, 4096},
+		{256, 512},
+	} {
+		t.Run(fmt.Sprintf("mtu%d/elems%d", tc.mtu, tc.tpduElems), func(t *testing.T) {
+			s, step := newSteadySender(t, tc.mtu, tc.tpduElems)
+			for i := 0; i < 64; i++ { // prime buffers, pools and the unacked map
+				step()
+			}
+			if raceEnabled {
+				t.Skip("race instrumentation allocates; the alloc count is pinned in the uninstrumented build")
+			}
+			before := s.TPDUsSent
+			allocs := testing.AllocsPerRun(100, step)
+			if allocs != 0 {
+				t.Errorf("steady-state send path allocates %.1f objects per TPDU, want 0", allocs)
+			}
+			if s.TPDUsSent == before {
+				t.Fatal("measurement loop cut no TPDUs — the harness is broken")
+			}
+			if s.Unacked() > 1 {
+				t.Fatalf("unacked backlog grew to %d; acks are not being consumed", s.Unacked())
+			}
+		})
 	}
 }
 
@@ -72,7 +84,7 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 // cut per step and cutting the TPDU consumes it, still without
 // allocating.
 func TestSteadyStateFramedSendZeroAlloc(t *testing.T) {
-	s, step := newSteadySender(t)
+	s, step := newSteadySender(t, 1400, 256)
 	framed := func() {
 		step()
 		s.EndFrame()
@@ -99,7 +111,7 @@ func TestSteadyStateFramedSendZeroAlloc(t *testing.T) {
 // BenchmarkSteadyStateSend reports the allocation profile and cost of
 // one full TPDU round trip through the send path.
 func BenchmarkSteadyStateSend(b *testing.B) {
-	s, step := newSteadySender(b)
+	s, step := newSteadySender(b, 1400, 256)
 	for i := 0; i < 64; i++ {
 		step()
 	}
