@@ -107,7 +107,10 @@ func run(args []string, stdout io.Writer) int {
 				return 1
 			}
 		}
-		conn.EndFrame()
+		if err := conn.EndFrame(); err != nil {
+			log.Printf("write: %v (timeout %v)", err, *timeout)
+			return 1
+		}
 	}
 	if err := conn.Close(); err != nil {
 		log.Print(err)

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"chunks/internal/chunk"
+	"chunks/internal/packet"
 	"chunks/internal/telemetry"
 	"chunks/internal/transport"
 )
@@ -207,6 +210,111 @@ func TestIdleExpiry(t *testing.T) {
 	}
 	if got := eventCIDs(reg, telemetry.EvExpired); !reflect.DeepEqual(got, []uint32{9}) {
 		t.Fatalf("expired events carry C.IDs %v, want [9]", got)
+	}
+}
+
+// TestFrameDeliveredBeforeIdleExpiry: EndFrame sends the TPDU that
+// completes its frame, so a connection that pauses after a frame past
+// IdleTimeout has already delivered it. Held back until Close, the
+// frame's last TPDU would reach a receiver rebuilt after expiry, which
+// lacks the frame's other TPDUs and never delivers it.
+func TestFrameDeliveredBeforeIdleExpiry(t *testing.T) {
+	var mu sync.Mutex
+	got := map[uint32][]byte{}
+	srv, err := Serve("127.0.0.1:0", Config{
+		PollEvery:   5 * time.Millisecond,
+		IdleTimeout: 40 * time.Millisecond,
+		OnFrame: func(xid uint32, data []byte) {
+			mu.Lock()
+			got[xid] = append([]byte(nil), data...)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+
+	conn, err := Dial(srv.Addr().String(), Config{CID: 12, TPDUElems: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := [][]byte{testData(4*64*4, 71), testData(4*64*4, 72)} // 4 TPDUs each
+	for _, f := range frames {
+		if err := conn.Write(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.EndFrame(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // well past IdleTimeout
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.WaitDrained(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != len(frames) {
+		t.Fatalf("%d of %d frames delivered", len(got), len(frames))
+	}
+	for i, f := range frames {
+		if !bytes.Equal(got[uint32(i+1)], f) {
+			t.Fatalf("frame %d mismatch", i+1)
+		}
+	}
+}
+
+// TestForeignCloseAckRefused: a close whose C.ID was corrupted on the
+// way reaches fresh server state under another key, which acknowledges
+// it. The client must not take that ACK for its own close, or it stops
+// repeating a close the real connection never saw.
+func TestForeignCloseAckRefused(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	reg := telemetry.New(0)
+	conn, err := Dial(srv.Addr().String(), Config{CID: 21, TPDUElems: 64, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Shutdown()
+	if err := conn.Write(testData(1024, 81)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Wait for the ACKs without WaitDrained, which would shut the
+	// connection down.
+	for deadline := time.Now().Add(5 * time.Second); conn.Unacked() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("data never acknowledged")
+		}
+	}
+	counter := func(name string) int64 { return reg.Snapshot().Scopes["conn.21"].Counters[name] }
+	acks := counter("acks_seen")
+
+	corrupt := transport.SignalClose(21^0x0100, 256) // C.ID with one byte flipped
+	d, err := (&packet.Packet{Chunks: []chunk.Chunk{corrupt}}).AppendTo(nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.InjectBatch([][]byte{d}, []netip.AddrPort{netip.MustParseAddrPort(conn.LocalAddr().String())})
+	for deadline := time.Now().Add(5 * time.Second); counter("acks_seen") == acks && counter("control_bad") == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the foreign close's ACK never reached the client")
+		}
+	}
+	if got := counter("acks_seen"); got != acks {
+		t.Fatalf("acks_seen %d → %d: the client took another connection's close ACK", acks, got)
+	}
+	if got := counter("control_bad"); got != 1 {
+		t.Fatalf("control_bad = %d, want 1", got)
 	}
 }
 

@@ -204,8 +204,10 @@ func entry[S any](m map[uint32]*S, id uint32) *S {
 // of anomalous chunks pins no memory.
 const maxFindings = 128
 
-// flag logs f while the log has room.
-func (r *Receiver) flag(f Finding) {
+// Flag logs f while the log has room. The transport flags the
+// anomalies it detects itself (a close signal that moves the
+// connection end) into the same log.
+func (r *Receiver) Flag(f Finding) {
 	if len(r.findings) < maxFindings {
 		r.findings = append(r.findings, f)
 	}
@@ -281,15 +283,15 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 		t.size, t.cid, t.delta, t.haveMeta = c.Size, c.C.ID, delta, true
 	} else {
 		if c.Size != t.size {
-			r.flag(Finding{Class: VerdictReassembly, Check: "SIZE", TID: c.T.ID, A: uint64(c.Size), B: uint64(t.size)})
+			r.Flag(Finding{Class: VerdictReassembly, Check: "SIZE", TID: c.T.ID, A: uint64(c.Size), B: uint64(t.size)})
 			return nil, nil, nil
 		}
 		if c.C.ID != t.cid {
-			r.flag(Finding{Class: VerdictConsistency, Check: "C.ID", TID: c.T.ID, A: uint64(c.C.ID), B: uint64(t.cid)})
+			r.Flag(Finding{Class: VerdictConsistency, Check: "C.ID", TID: c.T.ID, A: uint64(c.C.ID), B: uint64(t.cid)})
 			return nil, nil, nil
 		}
 		if delta != t.delta {
-			r.flag(Finding{Class: VerdictConsistency, Check: "C.SN-T.SN", TID: c.T.ID, A: delta, B: t.delta})
+			r.Flag(Finding{Class: VerdictConsistency, Check: "C.SN-T.SN", TID: c.T.ID, A: delta, B: t.delta})
 			return nil, nil, nil
 		}
 	}
@@ -299,7 +301,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	if !x.haveDelta {
 		x.delta, x.haveDelta = xdelta, true
 	} else if x.delta != xdelta {
-		r.flag(Finding{Class: VerdictConsistency, Check: "C.SN-X.SN", TID: c.T.ID, XID: c.X.ID, A: xdelta, B: x.delta})
+		r.Flag(Finding{Class: VerdictConsistency, Check: "C.SN-X.SN", TID: c.T.ID, XID: c.X.ID, A: xdelta, B: x.delta})
 		return nil, nil, nil
 	}
 
@@ -317,7 +319,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	if len(conflicts) > 0 {
 		r.overlapConflicts.Add(int64(len(conflicts)))
 		for _, iv := range conflicts {
-			r.flag(Finding{Class: VerdictConsistency, Check: "overlap conflict", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
+			r.Flag(Finding{Class: VerdictConsistency, Check: "overlap conflict", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
 		}
 	}
 	if err != nil {
@@ -330,7 +332,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 				// overwrite them.)
 				t.Reset()
 			}
-			r.flag(Finding{Class: VerdictReassembly, Check: "overlap rejected", TID: c.T.ID, A: c.T.SN, B: c.T.SN + n})
+			r.Flag(Finding{Class: VerdictReassembly, Check: "overlap rejected", TID: c.T.ID, A: c.T.SN, B: c.T.SN + n})
 			return nil, nil, err
 		}
 		end, _ := t.pdu.End()
@@ -338,7 +340,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 		if errors.Is(err, vr.ErrConflictingEnd) {
 			f.Check, f.A, f.B = "T conflicting end", end, f.A
 		}
-		r.flag(f)
+		r.Flag(f)
 		return nil, nil, nil
 	}
 	if r.policy == vr.LastWins && len(conflicts) > 0 && view != nil {
@@ -352,7 +354,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 				continue
 			}
 			if r.layout.addRaw(&t.acc, iv.Lo, c.Size, old) != nil || r.layout.addData(&t.acc, c, iv.Lo, iv.Hi) != nil {
-				r.flag(Finding{Class: VerdictReassembly, Check: "overlap replace", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
+				r.Flag(Finding{Class: VerdictReassembly, Check: "overlap replace", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
 				return nil, nil, nil
 			}
 			replace = append(replace, iv)
@@ -366,7 +368,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 		if errors.Is(err, vr.ErrConflictingEnd) {
 			f.Check, f.A, f.B = "X conflicting end", end, f.A
 		}
-		r.flag(f)
+		r.Flag(f)
 	}
 
 	// Accumulate only the fresh data into the parity — processing the
@@ -374,7 +376,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	// no data corruption has occurred" (Section 3.3).
 	for _, iv := range fresh {
 		if r.layout.addData(&t.acc, c, iv.Lo, iv.Hi) != nil {
-			r.flag(Finding{Class: VerdictReassembly, Check: "data outside layout", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
+			r.Flag(Finding{Class: VerdictReassembly, Check: "data outside layout", TID: c.T.ID, A: iv.Lo, B: iv.Hi})
 			return nil, nil, nil
 		}
 		run := int64(iv.Hi-iv.Lo) * int64(c.Size)
@@ -387,7 +389,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 	lastSN := c.T.SN + n - 1
 	if freshContains(fresh, lastSN) {
 		if r.layout.addTrigger(&t.acc, c) != nil {
-			r.flag(Finding{Class: VerdictReassembly, Check: "trigger outside layout", TID: c.T.ID, XID: c.X.ID, A: lastSN, B: lastSN + 1})
+			r.Flag(Finding{Class: VerdictReassembly, Check: "trigger outside layout", TID: c.T.ID, XID: c.X.ID, A: lastSN, B: lastSN + 1})
 			return nil, nil, nil
 		}
 		if c.C.ST {
@@ -405,7 +407,7 @@ func (r *Receiver) IngestData(t *TPDU, x *X, c *chunk.Chunk) (fresh, replace []v
 func (r *Receiver) IngestED(t *TPDU, c *chunk.Chunk) {
 	par, err := ParseED(c)
 	if err != nil {
-		r.flag(Finding{Class: VerdictReassembly, Check: "malformed ED", TID: c.T.ID, A: uint64(c.Size), B: uint64(c.Len)})
+		r.Flag(Finding{Class: VerdictReassembly, Check: "malformed ED", TID: c.T.ID, A: uint64(c.Size), B: uint64(c.Len)})
 		return
 	}
 	if t.verdict != VerdictPending {
@@ -415,12 +417,12 @@ func (r *Receiver) IngestED(t *TPDU, c *chunk.Chunk) {
 		t.Reset()
 	}
 	if t.haveMeta && c.C.ID != t.cid {
-		r.flag(Finding{Class: VerdictConsistency, Check: "ED C.ID", TID: c.T.ID, A: uint64(c.C.ID), B: uint64(t.cid)})
+		r.Flag(Finding{Class: VerdictConsistency, Check: "ED C.ID", TID: c.T.ID, A: uint64(c.C.ID), B: uint64(t.cid)})
 		return
 	}
 	if t.haveWant {
 		if t.want != par {
-			r.flag(Finding{Class: VerdictConsistency, Check: "duplicate ED", TID: c.T.ID, A: packed(par), B: packed(t.want)})
+			r.Flag(Finding{Class: VerdictConsistency, Check: "duplicate ED", TID: c.T.ID, A: packed(par), B: packed(t.want)})
 		}
 		return
 	}
@@ -434,7 +436,7 @@ func (r *Receiver) maybeFinalize(tid uint32, t *TPDU) {
 	}
 	if r.layout.addIdentity(&t.acc, tid, t.cid, t.cst) != nil {
 		t.verdict = VerdictReassembly
-		r.flag(Finding{Class: VerdictReassembly, Check: "identity outside layout", TID: tid, A: r.layout.TIDPos(), B: r.layout.CSTPos() + 1})
+		r.Flag(Finding{Class: VerdictReassembly, Check: "identity outside layout", TID: tid, A: r.layout.TIDPos(), B: r.layout.CSTPos() + 1})
 		return
 	}
 	if wsc.Verify(t.acc.Parity(), t.want) {
@@ -442,7 +444,7 @@ func (r *Receiver) maybeFinalize(tid uint32, t *TPDU) {
 		return
 	}
 	t.verdict = VerdictEDMismatch
-	r.flag(Finding{Class: VerdictEDMismatch, Check: "WSC-2 parity", TID: tid, A: packed(t.acc.Parity()), B: packed(t.want)})
+	r.Flag(Finding{Class: VerdictEDMismatch, Check: "WSC-2 parity", TID: tid, A: packed(t.acc.Parity()), B: packed(t.want)})
 }
 
 // sortedKeys returns m's keys in ascending order.
@@ -522,7 +524,7 @@ func (r *Receiver) Finalize() map[uint32]Verdict {
 			if t.pdu.Complete() {
 				f.Check = "no ED chunk"
 			}
-			r.flag(f)
+			r.Flag(f)
 		}
 		out[tid] = t.verdict
 	}
@@ -532,9 +534,9 @@ func (r *Receiver) Finalize() map[uint32]Verdict {
 	for _, xid := range sortedKeys(r.xs) {
 		x := r.xs[xid]
 		if end, ok := x.pdu.End(); ok && !x.pdu.Complete() {
-			r.flag(Finding{Class: VerdictReassembly, Check: "X incomplete", XID: xid, A: x.pdu.Received(), B: end})
+			r.Flag(Finding{Class: VerdictReassembly, Check: "X incomplete", XID: xid, A: x.pdu.Received(), B: end})
 		} else if !ok && len(x.pdu.Missing()) > 0 {
-			r.flag(Finding{Class: VerdictReassembly, Check: "X gaps", XID: xid, A: x.pdu.Received(), B: x.pdu.High()})
+			r.Flag(Finding{Class: VerdictReassembly, Check: "X gaps", XID: xid, A: x.pdu.Received(), B: x.pdu.High()})
 		}
 	}
 	return out

@@ -70,7 +70,7 @@ func (r *Receiver) RepairTPDU(t *TPDU, tid uint32) (Correction, bool) {
 		return Correction{}, false
 	}
 	t.verdict = VerdictOK
-	r.flag(Finding{Class: VerdictOK, Check: "repaired", TID: tid, A: pos, B: tsn})
+	r.Flag(Finding{Class: VerdictOK, Check: "repaired", TID: tid, A: pos, B: tsn})
 	return Correction{
 		TID:    tid,
 		TSN:    tsn,

@@ -1,6 +1,6 @@
 // Package lint is a stdlib-only analyzer suite (go/parser + go/ast +
 // go/types; no x/tools) that mechanically enforces the repository's
-// determinism, wire-pinning and telemetry invariants — the properties
+// determinism, allocation and lifecycle invariants — the properties
 // the compiler cannot see but the paper's chunk semantics depend on:
 // order-independent, bit-reproducible protocol processing.
 //
@@ -10,13 +10,6 @@
 //     time.Now/time.Since inside internal/ logic packages.
 //   - maprange: iteration over a map whose order can leak into
 //     protocol or output behavior (the PR 2 sorted-scan bug class).
-//   - wirepin: magic integer offsets into []byte wire buffers in the
-//     chunk/packet/compress codecs, and exported wire constants not
-//     referenced by any pinned test.
-//   - nilnoop: exported methods on telemetry instrument pointer types
-//     must begin with a nil-receiver guard (telemetry-off-is-free).
-//   - poolsafe: sync.Pool-derived values must not escape the function
-//     that drew them (returns or stores into longer-lived structures).
 //   - hotalloc: functions reachable from //lint:hot roots must be free
 //     of compiler-reported heap allocations; error construction is
 //     cold by rule.
@@ -58,8 +51,8 @@ func (d Diagnostic) String() string {
 }
 
 // A Check inspects a loaded module and reports findings. Checks see
-// the whole module so cross-package passes (wirepin's constant
-// pinning) need no special casing.
+// the whole module so cross-package passes (hotalloc's call graph)
+// need no special casing.
 type Check interface {
 	Name() string
 	Doc() string
@@ -71,9 +64,6 @@ func AllChecks() []Check {
 	return []Check{
 		NewDetrand(),
 		NewMaprange(),
-		NewWirepin(),
-		NewNilnoop(),
-		NewPoolsafe(),
 		NewHotalloc(),
 		NewLifecycle(),
 	}

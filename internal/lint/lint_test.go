@@ -105,7 +105,7 @@ func TestCorpus(t *testing.T) {
 // directive vocabulary, so renaming a check silently orphans every
 // suppression.
 func TestCheckMetadata(t *testing.T) {
-	want := []string{"detrand", "maprange", "wirepin", "nilnoop", "poolsafe", "hotalloc", "lifecycle"}
+	want := []string{"detrand", "maprange", "hotalloc", "lifecycle"}
 	checks := AllChecks()
 	if len(checks) != len(want) {
 		t.Fatalf("AllChecks returned %d checks, want %d", len(checks), len(want))

@@ -27,7 +27,7 @@ func (bp *BufferPool) Get(capHint int) []byte {
 			w.b = nil
 			bp.spare.Put(w)
 			if cap(b) >= capHint {
-				return b[:0] //lint:allow poolsafe Get IS the ownership transfer of this allocator API; Put recycles
+				return b[:0]
 			}
 		}
 	}

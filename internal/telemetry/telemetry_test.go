@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -131,6 +132,30 @@ func TestNilInstrumentsAreNoops(t *testing.T) {
 	}
 	if Nop().Enabled() {
 		t.Fatal("Nop() reports enabled")
+	}
+
+	// Every exported method of every instrument type, called on a nil
+	// receiver with zero-valued arguments, must return without
+	// panicking: a method added later is covered without editing this
+	// test.
+	for _, nilPtr := range []any{(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*Ring)(nil), (*Scope)(nil), (*Registry)(nil)} {
+		v := reflect.ValueOf(nilPtr)
+		for i := 0; i < v.NumMethod(); i++ {
+			name := v.Type().String() + "." + v.Type().Method(i).Name
+			m := v.Method(i)
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s on a nil receiver panics: %v", name, p)
+					}
+				}()
+				m.Call(args)
+			}()
+		}
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"chunks/internal/chunk"
 	"chunks/internal/errdet"
+	"chunks/internal/packet"
 )
 
 func appData(n int, seed int64) []byte {
@@ -308,6 +310,39 @@ func TestEndFrameIdempotent(t *testing.T) {
 	p.S.EndFrame() // duplicate: no-op
 	if len(p.S.frameCuts) != 1 {
 		t.Fatalf("frameCuts = %v", p.S.frameCuts)
+	}
+}
+
+// TestEndFrameSendsFullTPDU: Write keeps one full TPDU buffered, and
+// EndFrame on that TPDU's boundary cuts and sends it with X.ST set
+// instead of holding it until the next Write or Close.
+func TestEndFrameSendsFullTPDU(t *testing.T) {
+	var data []chunk.Chunk
+	s := NewSender(SenderConfig{CID: 1, ElemSize: 4, TPDUElems: 8}, func(d []byte) {
+		pk, err := packet.Decode(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range pk.Chunks {
+			if c.Type == chunk.TypeData {
+				data = append(data, c)
+			}
+		}
+	})
+	if err := s.Write(appData(32, 14)); err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 0 {
+		t.Fatalf("Write sent %d data chunks, want the TPDU kept buffered", len(data))
+	}
+	if err := s.EndFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 1 {
+		t.Fatalf("EndFrame sent %d data chunks, want the frame's one TPDU", len(data))
+	}
+	if c := data[0]; c.Len != 8 || !c.T.ST || !c.X.ST || c.X.ID != 1 {
+		t.Fatalf("sent chunk Len %d T.ST %v X.ST %v X.ID %d, want 8 elements ending TPDU and frame 1", c.Len, c.T.ST, c.X.ST, c.X.ID)
 	}
 }
 

@@ -81,13 +81,22 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 
 // TestSteadyStateFramedSendZeroAlloc is TestSteadyStateSendZeroAlloc
 // with every TPDU ending an application frame: EndFrame records a frame
-// cut per step and cutting the TPDU consumes it, still without
-// allocating.
+// cut per step and cuts the TPDU the write left buffered, consuming the
+// cut, still without allocating. The write itself then cuts nothing,
+// so each step acknowledges the TPDU EndFrame cut.
 func TestSteadyStateFramedSendZeroAlloc(t *testing.T) {
 	s, step := newSteadySender(t, 1400, 256)
+	ackBuf := make([]byte, 4)
 	framed := func() {
 		step()
-		s.EndFrame()
+		tid := uint32(s.bufStart)
+		if err := s.EndFrame(); err != nil {
+			t.Fatal(err)
+		}
+		ack := AckWith(7, tid, ackBuf)
+		if err := s.HandleControl(&ack); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 64; i++ {
 		framed()

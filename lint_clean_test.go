@@ -8,7 +8,7 @@ import (
 
 // TestLintClean runs the full chunklint suite over this module
 // in-process, so `go test ./...` fails on any new determinism,
-// wire-pinning or telemetry-contract violation — the tree must stay
+// allocation or lifecycle violation — the tree must stay
 // at zero findings (suppressions require an annotated //lint:allow
 // with a reason).
 func TestLintClean(t *testing.T) {
