@@ -69,8 +69,8 @@ type Config struct {
 	// WaitDrained. 0 means unlimited (retry forever).
 	MaxRetries int
 	// InitialRTO is the retransmission timeout before the first RTT
-	// sample; 0 means 3*PollEvery (the three poll rounds an unacked
-	// TPDU waits on the transport's round-based Poll path).
+	// sample; 0 means 3*PollEvery (three poll rounds, the timeout a
+	// transport Sender left at its defaults waits).
 	InitialRTO time.Duration
 	// MinRTO/MaxRTO clamp the adaptive timeout; 0 means PollEvery and
 	// 2s respectively.

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,8 +11,7 @@ import (
 	"chunks/internal/packet"
 )
 
-// adaptiveSender builds a sender on the adaptive (time-based) path,
-// capturing every emitted datagram.
+// adaptiveSender builds a sender that captures every emitted datagram.
 func adaptiveSender(t *testing.T, cfg SenderConfig, sink *[][]byte) *Sender {
 	t.Helper()
 	if cfg.ElemSize == 0 {
@@ -50,7 +52,7 @@ func TestBackoffMonotonic(t *testing.T) {
 	if dead != ErrPeerDead {
 		t.Fatalf("black hole ended with %v, want ErrPeerDead", dead)
 	}
-	if !s.Dead() {
+	if !s.dead {
 		t.Fatal("sender not marked dead")
 	}
 	if got := len(s.RetransmitLog); got != 5 {
@@ -121,7 +123,7 @@ func TestRTTEstimatorConverges(t *testing.T) {
 	}
 	// With constant samples RTTVAR decays toward 0, so RTO approaches
 	// SRTT; it must certainly have left InitialRTO far behind.
-	if got := s.RTO(); got > 3*rtt {
+	if got := s.currentRTO(); got > 3*rtt {
 		t.Fatalf("RTO %v still far from SRTT %v", got, s.SRTT())
 	}
 }
@@ -160,7 +162,7 @@ func TestNackDoesNotBackOff(t *testing.T) {
 	if rec.rto != 50*time.Millisecond {
 		t.Fatalf("NACK retransmissions changed RTO to %v", rec.rto)
 	}
-	if s.Dead() {
+	if s.dead {
 		t.Fatal("NACK storm killed the sender")
 	}
 	if len(s.RetransmitLog) != 0 {
@@ -332,5 +334,131 @@ func TestReapDisabledByDefault(t *testing.T) {
 	}
 	if got := r.PendingTPDUs(); got != 1 {
 		t.Fatalf("pending TPDUs %d, want 1", got)
+	}
+}
+
+// pollDrivenRun pushes seeded data through a default-config sender and
+// a receiver over a pipe that drops 20 % of the data and 40 % of the
+// control datagrams, stepping the sender's timer with poll(s, k) in
+// round k. It returns every datagram the sender emitted and its
+// retransmit record.
+func pollDrivenRun(t *testing.T, poll func(s *Sender, k int) error) ([][]byte, []RetransmitEvent) {
+	t.Helper()
+	var sent, toSend [][]byte
+	s := adaptiveSender(t, SenderConfig{CID: 5, MTU: 512, TPDUElems: 64}, &sent)
+	r, err := NewReceiver(ReceiverConfig{}, func(d []byte) { toSend = append(toSend, d) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Write(appData(6000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	next := 0
+	for k := 1; k <= 400 && !(s.Drained() && next == len(sent)); k++ {
+		for ; next < len(sent); next++ {
+			if rng.Float64() < 0.2 {
+				continue
+			}
+			if err := r.HandlePacket(sent[next]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		in := toSend
+		toSend = nil
+		for _, d := range in {
+			if rng.Float64() < 0.4 {
+				continue
+			}
+			pk, err := packet.Decode(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range pk.Chunks {
+				if err := s.HandleControl(&pk.Chunks[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r.Poll()
+		if err := poll(s, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Drained() {
+		t.Fatal("sender not drained after 400 rounds")
+	}
+	return sent, s.RetransmitLog
+}
+
+// TestPollIsPollAtStepped pins that Poll is the RTO timer stepped one
+// round: a sender driven by Poll and one driven by PollAt(k*pollStep)
+// emit the same datagrams and log the same retransmissions under the
+// same seeded loss.
+func TestPollIsPollAtStepped(t *testing.T) {
+	byPoll, pollLog := pollDrivenRun(t, func(s *Sender, _ int) error { return s.Poll() })
+	byPollAt, atLog := pollDrivenRun(t, func(s *Sender, k int) error { return s.PollAt(time.Duration(k) * pollStep) })
+	if len(pollLog) == 0 {
+		t.Fatal("Poll-driven run logged no timer retransmission")
+	}
+	if !reflect.DeepEqual(pollLog, atLog) {
+		t.Fatalf("retransmit logs differ:\nPoll   %v\nPollAt %v", pollLog, atLog)
+	}
+	if len(byPoll) != len(byPollAt) {
+		t.Fatalf("Poll emitted %d datagrams, PollAt %d", len(byPoll), len(byPollAt))
+	}
+	for i := range byPoll {
+		if !bytes.Equal(byPoll[i], byPollAt[i]) {
+			t.Fatalf("datagram %d differs between Poll and PollAt", i)
+		}
+	}
+}
+
+// TestPollResendsSilentTPDU: with a default config, a TPDU the peer
+// never answers is re-sent whole every third Poll, its timeout never
+// backs off, and each resend is logged.
+func TestPollResendsSilentTPDU(t *testing.T) {
+	var out [][]byte
+	s := adaptiveSender(t, SenderConfig{CID: 1, TPDUElems: 8}, &out)
+	if err := s.Write(make([]byte, 8*4)); err != nil {
+		t.Fatal(err)
+	}
+	open := out[0]
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tpdu := out[1:]
+	for k := 1; k <= 12; k++ {
+		before := len(out)
+		if err := s.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		// Until an ACK arrives the open signal leads every round.
+		got := out[before:]
+		if len(got) == 0 || !bytes.Equal(got[0], open) {
+			t.Fatalf("poll %d: open signal not repeated", k)
+		}
+		got = got[1:]
+		if k%3 != 0 {
+			if len(got) != 0 {
+				t.Fatalf("poll %d: %d datagrams resent before the timeout", k, len(got))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, tpdu) {
+			t.Fatalf("poll %d: resent %d datagrams, want the TPDU's %d unchanged", k, len(got), len(tpdu))
+		}
+	}
+	if s.Retransmits != 4 || len(s.RetransmitLog) != 4 {
+		t.Fatalf("retransmits %d, logged %d; want 4 each", s.Retransmits, len(s.RetransmitLog))
+	}
+	for i, ev := range s.RetransmitLog {
+		want := RetransmitEvent{TID: 0, At: time.Duration(3*(i+1)) * pollStep, RTO: 3 * pollStep}
+		if ev != want {
+			t.Fatalf("retransmission %d = %+v, want %+v", i, ev, want)
+		}
 	}
 }

@@ -14,9 +14,9 @@ import (
 // over four seeded lossy schedules: every control datagram it emits
 // (ACK and NACK content and packing, hence NACK scan order), every
 // OnTPDU verdict, every OnFrame payload, and the sender's retransmit
-// record. The digests were recorded before the receiver's per-TPDU
-// state was restructured; any change to them is a behaviour change,
-// not a refactor.
+// record (Poll runs the RTO timer, so the record holds every timer
+// resend of a TPDU and of the close). Any change to the digests is a
+// behaviour change, not a refactor.
 func TestReceiverControlGolden(t *testing.T) {
 	frames := []int{700, 1300, 64, 2048, 4, 3000, 512, 8200}
 	cases := []struct {
@@ -25,12 +25,12 @@ func TestReceiverControlGolden(t *testing.T) {
 		pcfg PumpConfig
 		want string
 	}{
-		{"loss-data", ReceiverConfig{}, PumpConfig{Seed: 21, LossData: 0.3, MaxRounds: 600}, "c6c3438753c54a28"},
-		{"loss-ctrl", ReceiverConfig{}, PumpConfig{Seed: 22, LossData: 0.1, LossCtrl: 0.5, MaxRounds: 600}, "d6d99da3dbdca1ac"},
-		{"reorder", ReceiverConfig{}, PumpConfig{Seed: 23, LossData: 0.15, LossCtrl: 0.2, Reorder: true, MaxRounds: 600}, "b97b3bc0f398ee21"},
+		{"loss-data", ReceiverConfig{}, PumpConfig{Seed: 21, LossData: 0.3, MaxRounds: 600}, "014d5fe9be105eaa"},
+		{"loss-ctrl", ReceiverConfig{}, PumpConfig{Seed: 22, LossData: 0.1, LossCtrl: 0.5, MaxRounds: 600}, "49c34bb50f2426fe"},
+		{"reorder", ReceiverConfig{}, PumpConfig{Seed: 23, LossData: 0.15, LossCtrl: 0.2, Reorder: true, MaxRounds: 600}, "72fa311e3f79f19c"},
 		// reap loses the open signal, so its data ACKs carry C.ID 0
 		// and its close ACK the close's C.ID.
-		{"reap", ReceiverConfig{ReapAfter: 2}, PumpConfig{Seed: 24, LossData: 0.5, LossCtrl: 0.3, Reorder: true, MaxRounds: 800}, "8a2bbb8c64980ead"},
+		{"reap", ReceiverConfig{ReapAfter: 2}, PumpConfig{Seed: 24, LossData: 0.5, LossCtrl: 0.3, Reorder: true, MaxRounds: 800}, "18b03ca4b0d24224"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

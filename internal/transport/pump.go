@@ -8,7 +8,9 @@ import (
 
 // PumpConfig parameterises the synchronous delivery loop that connects
 // a Sender and Receiver in experiments: a lossy, optionally
-// reordering, bidirectional datagram pipe with round-based timers.
+// reordering, bidirectional datagram pipe. Each round ends with one
+// Receiver.Poll and one Sender.Poll, which steps the sender's RTO
+// timer one round.
 type PumpConfig struct {
 	Seed int64
 	// LossData is the drop probability for sender->receiver

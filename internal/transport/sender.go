@@ -30,25 +30,24 @@ type SenderConfig struct {
 	// retransmission, grow it back on clean ACKs.
 	Adapt bool
 
-	// InitialRTO, when > 0, enables the adaptive retransmission path:
-	// the timeout for each TPDU is a Jacobson-style smoothed RTT +
-	// 4*variance estimate seeded from ACK timing (Karn's rule: samples
-	// are taken only from TPDUs that were never retransmitted), with
-	// per-TPDU exponential backoff on successive timer-driven
-	// retransmissions. InitialRTO is the timeout used before the first
-	// RTT sample arrives. Drive the adaptive path with PollAt and
-	// HandleControlAt, feeding a monotonic time offset.
+	// InitialRTO is the retransmission timeout before the first RTT
+	// sample. After it, each TPDU's timeout is a Jacobson-style
+	// smoothed RTT + 4*variance estimate seeded from ACK timing (Karn's
+	// rule: samples are taken only from TPDUs that were never
+	// retransmitted), with per-TPDU exponential backoff on successive
+	// timer-driven retransmissions. 0 means a fixed timeout of three
+	// Poll rounds: InitialRTO, MinRTO and MaxRTO all become 3*pollStep,
+	// so the estimate and the backoff are clamped flat.
 	InitialRTO time.Duration
-	// MinRTO and MaxRTO clamp the adaptive timeout; 0 means 5ms and
-	// 3s respectively. MaxRTO also caps the per-TPDU backoff.
+	// MinRTO and MaxRTO clamp the timeout; 0 means 5ms and 3s
+	// respectively. MaxRTO also caps the per-TPDU backoff.
 	MinRTO time.Duration
 	MaxRTO time.Duration
 	// MaxRetries bounds successive timer-driven retransmissions of a
 	// single TPDU (and of the close signal). When a TPDU is about to
 	// be retransmitted for the (MaxRetries+1)-th time the sender
-	// declares the peer dead: PollAt returns ErrPeerDead, Write
-	// refuses further data, and Dead reports true. 0 means unlimited
-	// (the pre-backoff behaviour: spin forever).
+	// declares the peer dead: PollAt returns ErrPeerDead and Write
+	// refuses further data. 0 means unlimited (retry forever).
 	MaxRetries int
 
 	// Layout is the error detection invariant layout.
@@ -69,13 +68,14 @@ func (c *SenderConfig) fill() {
 	if c.MinTPDUElems == 0 {
 		c.MinTPDUElems = 8
 	}
-	if c.InitialRTO > 0 {
-		if c.MinRTO == 0 {
-			c.MinRTO = 5 * time.Millisecond
-		}
-		if c.MaxRTO == 0 {
-			c.MaxRTO = 3 * time.Second
-		}
+	if c.InitialRTO == 0 {
+		c.InitialRTO, c.MinRTO, c.MaxRTO = 3*pollStep, 3*pollStep, 3*pollStep
+	}
+	if c.MinRTO == 0 {
+		c.MinRTO = 5 * time.Millisecond
+	}
+	if c.MaxRTO == 0 {
+		c.MaxRTO = 3 * time.Second
 	}
 	if c.Layout.DataSymbols == 0 {
 		c.Layout = errdet.DefaultLayout()
@@ -101,13 +101,10 @@ var (
 // capacity across TPDUs, so the steady-state send path allocates
 // nothing per TPDU.
 type tpduRec struct {
-	chunks   []chunk.Chunk // pre-fragmentation chunks (identifiers reused verbatim on retransmission)
-	payload  []byte        // backing store the chunk payloads alias
-	edbuf    []byte        // backing store of ed.Payload
-	ed       chunk.Chunk
-	lastSent int // Poll round of last (re)transmission (legacy path)
-
-	// Adaptive-path state (InitialRTO > 0).
+	chunks        []chunk.Chunk // pre-fragmentation chunks (identifiers reused verbatim on retransmission)
+	payload       []byte        // backing store the chunk payloads alias
+	edbuf         []byte        // backing store of ed.Payload
+	ed            chunk.Chunk
 	sentAt        time.Duration // timeline position of last (re)transmission
 	rto           time.Duration // current per-TPDU timeout (doubles on backoff)
 	retries       int           // timer-driven retransmissions so far
@@ -124,8 +121,8 @@ func getRec() *tpduRec {
 	return rec
 }
 
-// A RetransmitEvent records one timer-driven retransmission on the
-// adaptive path, for backoff assertions and diagnostics.
+// A RetransmitEvent records one timer-driven retransmission, for
+// backoff assertions and diagnostics.
 type RetransmitEvent struct {
 	TID uint32        // retransmitted TPDU (CloseAckTID for the close signal)
 	At  time.Duration // timeline position of the retransmission
@@ -150,7 +147,6 @@ type Sender struct {
 	opened     bool
 	closed     bool
 	closeAcked bool
-	round      int
 
 	unacked map[uint32]*tpduRec
 
@@ -162,10 +158,10 @@ type Sender struct {
 	initialTPDUElems int
 	cleanAcks        int // consecutive ACKs since the last retransmission
 
-	// Adaptive-path state (InitialRTO > 0). The timeline is a caller-
-	// supplied monotonic offset (time.Since of a connection epoch for
-	// real sockets, a synthetic clock in simulations) so that no
-	// wall-clock reads happen inside protocol logic.
+	// Retransmission timer state. The timeline is a caller-supplied
+	// monotonic offset (time.Since of a connection epoch for real
+	// sockets, Poll's rounds or a synthetic clock in simulations) so
+	// that no wall-clock reads happen inside protocol logic.
 	now          time.Duration // latest observed timeline position
 	srtt         time.Duration // smoothed RTT
 	rttvar       time.Duration // RTT mean deviation
@@ -175,8 +171,8 @@ type Sender struct {
 	closeRTO     time.Duration
 	closeRetries int
 
-	// RetransmitLog records every timer-driven retransmission on the
-	// adaptive path, in order.
+	// RetransmitLog records every timer-driven retransmission, in
+	// order.
 	RetransmitLog []RetransmitEvent
 
 	// Counters for experiments.
@@ -383,7 +379,6 @@ func (s *Sender) cutTPDU(n int) error {
 	rec.ed = errdet.EDChunkAppend(s.cfg.CID, tid, start, par, rec.edbuf)
 	rec.edbuf = rec.ed.Payload
 
-	rec.lastSent = s.round
 	rec.sentAt = s.now
 	rec.rto = s.currentRTO()
 	s.unacked[tid] = rec
@@ -432,7 +427,7 @@ func (s *Sender) HandleControl(c *chunk.Chunk) error {
 }
 
 // HandleControlAt is HandleControl with an explicit timeline position,
-// used by the adaptive path to derive RTT samples from ACK timing.
+// from which RTT samples are derived.
 func (s *Sender) HandleControlAt(c *chunk.Chunk, now time.Duration) error {
 	s.observe(now)
 	switch c.Type {
@@ -456,7 +451,7 @@ func (s *Sender) HandleControlAt(c *chunk.Chunk, now time.Duration) error {
 			return nil
 		}
 		if rec, ok := s.unacked[tid]; ok {
-			if s.cfg.InitialRTO > 0 && !rec.retransmitted {
+			if !rec.retransmitted {
 				s.sample(s.now - rec.sentAt)
 			}
 			s.tel.retries.Observe(int64(rec.retries))
@@ -502,7 +497,6 @@ func (s *Sender) retransmit(tid uint32, missing []vr.Interval) error {
 	}
 	out = append(out, rec.ed)
 	s.sendScratch = out
-	rec.lastSent = s.round
 	// A NACK proves the peer is alive and requesting: defer the
 	// retransmission timer but neither back off nor count a retry
 	// (those are reserved for silence). Karn's rule still applies.
@@ -568,45 +562,13 @@ func (s *Sender) grow() {
 	}
 }
 
-// retransmitAfter is the number of Poll rounds an unacked TPDU waits
-// before being retransmitted wholesale. It governs only the round-based
-// Poll path; the adaptive time-based path (InitialRTO > 0, driven
-// through PollAt) replaces it with the RTT estimator.
-const retransmitAfter = 3
+// pollStep is the timeline advance of one Poll round.
+const pollStep = time.Millisecond
 
-// Poll advances the retransmission clock one round: unacked TPDUs
-// older than retransmitAfter rounds are re-sent whole (identifiers
-// unchanged). Call it once per pump iteration.
-func (s *Sender) Poll() error {
-	s.round++
-	// Signaling chunks are not covered by ACKs, so they are repeated
-	// on the timer: the open signal until the first ACK proves the
-	// peer is hearing us, the close signal for as long as we poll.
-	if s.opened && s.AcksSeen == 0 && len(s.unacked) > 0 {
-		if err := s.emit([]chunk.Chunk{SignalOpen(s.cfg.CID, s.cfg.ElemSize, 0)}); err != nil {
-			return err
-		}
-	}
-	if s.closed && !s.closeAcked {
-		if err := s.emit([]chunk.Chunk{SignalClose(s.cfg.CID, s.csn)}); err != nil {
-			return err
-		}
-	}
-	for _, tid := range s.unackedTIDs() {
-		rec := s.unacked[tid]
-		if s.round-rec.lastSent >= retransmitAfter {
-			s.Retransmits++
-			s.tel.retransmit.Inc()
-			s.tel.ring.Record(telemetry.EvRetransmit, s.cfg.CID, tid, rec.chunks[0].C.SN, 0)
-			s.adapt()
-			rec.lastSent = s.round
-			if err := s.emit(s.withED(rec.chunks, rec.ed)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// Poll advances the sender's timeline one round and runs PollAt there.
+// Call it once per pump iteration; with InitialRTO unset an unacked
+// TPDU is re-sent every third round.
+func (s *Sender) Poll() error { return s.PollAt(s.now + pollStep) }
 
 // unackedTIDs returns the in-flight TPDU IDs in ascending order.
 // Retransmission scans must not follow Go's randomized map iteration
@@ -652,11 +614,8 @@ func (s *Sender) sample(rtt time.Duration) {
 
 // currentRTO returns the timeout a freshly sent TPDU gets: SRTT +
 // 4*RTTVAR clamped to [MinRTO, MaxRTO], or InitialRTO before the first
-// sample. Zero while the adaptive path is disabled.
+// sample.
 func (s *Sender) currentRTO() time.Duration {
-	if s.cfg.InitialRTO == 0 {
-		return 0
-	}
 	if !s.haveRTT {
 		return s.clampRTO(s.cfg.InitialRTO)
 	}
@@ -676,18 +635,12 @@ func (s *Sender) clampRTO(d time.Duration) time.Duration {
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
 func (s *Sender) SRTT() time.Duration { return s.srtt }
 
-// RTO returns the timeout the next transmission would get.
-func (s *Sender) RTO() time.Duration { return s.currentRTO() }
-
-// Dead reports that the sender gave up on the peer (MaxRetries).
-func (s *Sender) Dead() bool { return s.dead }
-
-// PollAt runs the adaptive retransmission pass at timeline position
-// now: every unacked TPDU whose timeout expired is retransmitted whole
+// PollAt runs the retransmission pass at timeline position now: every
+// unacked TPDU whose timeout expired is retransmitted whole
 // (identifiers unchanged), its timeout doubled (clamped to MaxRTO) and
 // its retry counted; a TPDU — or the close signal — about to exceed
 // MaxRetries kills the connection instead and PollAt returns
-// ErrPeerDead (and keeps returning it). Requires InitialRTO > 0.
+// ErrPeerDead (and keeps returning it).
 func (s *Sender) PollAt(now time.Duration) error {
 	if s.dead {
 		return ErrPeerDead
