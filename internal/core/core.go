@@ -367,7 +367,8 @@ func (c *Conn) Close() error {
 // address the server keys this connection by.
 func (c *Conn) LocalAddr() net.Addr { return c.sock.LocalAddr() }
 
-// Unacked returns the number of TPDUs not yet verified end-to-end.
+// Unacked returns the number of TPDUs not yet verified end-to-end, plus
+// one for the close signal from Close until it is acknowledged.
 func (c *Conn) Unacked() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -430,7 +431,7 @@ func (c *Conn) WaitDrained(timeout time.Duration) error {
 		return ErrShutdown
 	}
 	c.Shutdown()
-	return fmt.Errorf("%w: %d TPDUs unacknowledged", ErrTimeout, unacked)
+	return fmt.Errorf("%w: %d records (TPDUs and the close) unacknowledged", ErrTimeout, unacked)
 }
 
 // Shutdown stops the background goroutines and closes the socket.

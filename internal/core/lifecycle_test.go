@@ -14,6 +14,7 @@ import (
 	"chunks/internal/packet"
 	"chunks/internal/telemetry"
 	"chunks/internal/transport"
+	"chunks/internal/vr"
 )
 
 // TestSpoofCannotHijackControl: a stray sender replaying valid-looking
@@ -270,7 +271,9 @@ func TestFrameDeliveredBeforeIdleExpiry(t *testing.T) {
 // TestForeignCloseAckRefused: a close whose C.ID was corrupted on the
 // way reaches fresh server state under another key, which acknowledges
 // it. The client must not take that ACK for its own close, or it stops
-// repeating a close the real connection never saw.
+// repeating a close the real connection never saw. The same rule
+// covers a data ACK and a NACK naming another C.ID: the one
+// acknowledges nothing, the other triggers no retransmission.
 func TestForeignCloseAckRefused(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", Config{})
 	if err != nil {
@@ -315,6 +318,71 @@ func TestForeignCloseAckRefused(t *testing.T) {
 	}
 	if got := counter("control_bad"); got != 1 {
 		t.Fatalf("control_bad = %d, want 1", got)
+	}
+
+	// A peer socket the test owns answers a second connection's TPDU
+	// with forged control. The timeouts are a minute, so no timer
+	// resend happens during the test.
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	conn2, err := Dial(peer.LocalAddr().String(), Config{
+		CID: 22, TPDUElems: 64, Telemetry: reg,
+		InitialRTO: time.Minute, MinRTO: time.Minute, MaxRTO: time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Shutdown()
+	if err := conn2.Write(testData(256, 82)); err != nil { // one TPDU
+		t.Fatal(err)
+	}
+	if err := conn2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var client netip.AddrPort
+	var tid uint32
+	buf := make([]byte, 2048)
+	for data := false; !data; {
+		n, from, err := peer.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, err := packet.Decode(buf[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range pk.Chunks {
+			if c.Type == chunk.TypeData {
+				client, tid, data = from, c.T.ID, true
+			}
+		}
+	}
+	counter2 := func(name string) int64 { return reg.Snapshot().Scopes["conn.22"].Counters[name] }
+	for i, forged := range []chunk.Chunk{
+		transport.Ack(22^0x0100, tid),
+		transport.Nack(22^0x0100, tid, []vr.Interval{{Lo: 0, Hi: 64}}),
+	} {
+		d, err := (&packet.Packet{Chunks: []chunk.Chunk{forged}}).AppendTo(nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := peer.WriteToUDPAddrPort(d, client); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); counter2("control_bad") == int64(i); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the client never refused the forged %v", forged.Type)
+			}
+		}
+	}
+	if acks, unacked, re := counter2("acks_seen"), conn2.Unacked(), counter2("retransmits"); acks != 0 || unacked != 1 || re != 0 {
+		t.Fatalf("after a foreign ACK and NACK: acks_seen %d, unacked %d, retransmits %d; want 0, 1, 0", acks, unacked, re)
 	}
 }
 

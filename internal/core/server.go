@@ -58,9 +58,9 @@ const envLenOff = packet.HeaderSize - 2
 // until the batch ends — Appendix A's acknowledgments that "ride in any
 // packet", bounded to the batch that produced them. A datagram for the
 // same connection as the last envelope merges into it while the result
-// fits the MTU. Envelopes of different connections never merge: a
-// client's sender does not check an ACK's C.ID, so a socket must only
-// ever see its own connection's chunks.
+// fits the MTU. Envelopes of different connections never merge: each
+// goes to its own connection's peer, whose sender refuses (as
+// control_bad) any ACK or NACK naming another C.ID.
 type ctrlQueue struct {
 	mtu    int
 	dgrams [][]byte

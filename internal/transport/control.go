@@ -35,8 +35,8 @@ const CloseAckTID = ^uint32(0)
 // Control codec errors.
 var (
 	// ErrBadControl reports a malformed control chunk, one whose
-	// header and payload copies of C.SN or T.ID disagree, or a close
-	// ACK naming another connection's C.ID.
+	// header and payload copies of C.SN or T.ID disagree, or an ACK or
+	// NACK naming another connection's C.ID.
 	ErrBadControl = errors.New("transport: malformed control chunk")
 )
 

@@ -82,8 +82,13 @@ type Receiver struct {
 	out func(datagram []byte)
 	ed  errdet.Receiver
 
+	// cid names the connection in every ACK and NACK: the C.ID of the
+	// first chunk handled (named), so a receiver that lost the open
+	// still answers under its sender's C.ID. elemSize is the SIZE of the
+	// first data chunk.
 	cid      uint32
 	elemSize uint16
+	named    bool
 	opened   bool
 	closed   bool
 	rejected bool // vr.RejectConnection tripped; all input refused
@@ -271,7 +276,7 @@ func (r *Receiver) priorBytes(iv vr.Interval) []byte {
 	if iv.Lo < base {
 		return nil
 	}
-	es := uint64(r.size())
+	es := uint64(r.elemSize)
 	lo, hi := (iv.Lo-base)*es, (iv.Hi-base)*es
 	held := r.buf[r.head:]
 	if hi > uint64(len(held)) || lo > hi {
@@ -311,6 +316,9 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 	if r.rejected {
 		return ErrConnectionRejected
 	}
+	if !r.named {
+		r.cid, r.named = c.C.ID, true
+	}
 	switch c.Type {
 	case chunk.TypeSignal:
 		sig, err := ParseSignal(c)
@@ -320,8 +328,6 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 		}
 		switch {
 		case sig.Open:
-			r.cid = sig.CID
-			r.elemSize = sig.ElemSize
 			r.opened = true
 		case r.closed && sig.CSN != r.finalCSN:
 			// The first close fixed the connection's end; one that
@@ -331,13 +337,14 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 			r.closed = true
 			r.finalCSN = sig.CSN
 			// Acknowledge the close signal (repeated closes re-ACK:
-			// a repeat means our previous ACK was lost), under the
-			// C.ID the close named, even before an open names the
-			// connection.
-			r.emitAck(c.C.ID, CloseAckTID)
+			// a repeat means our previous ACK was lost).
+			r.emitAck(CloseAckTID)
 		}
 		return nil
 	case chunk.TypeData:
+		if r.elemSize == 0 {
+			r.elemSize = c.Size
+		}
 		t, x := r.tpdu(c.T.ID), r.frame(c)
 		r.tel.chunks.Inc()
 		r.tel.chunkLen.Observe(int64(c.Len))
@@ -517,7 +524,7 @@ func (r *Receiver) after(t *tRec) {
 		if cor, ok := r.ed.RepairTPDU(&t.ed, t.tid); ok {
 			if base := r.base(); cor.CSN >= base {
 				cor.CSN -= base
-				cor.Apply(r.buf[r.head:], r.size())
+				cor.Apply(r.buf[r.head:], r.elemSize)
 			}
 			r.repaired++
 			r.tel.repaired.Inc()
@@ -556,7 +563,7 @@ func (r *Receiver) after(t *tRec) {
 			t.acked = true
 			r.book(t)
 		}
-		r.emitAck(r.cid, tid)
+		r.emitAck(tid)
 	}
 }
 
@@ -661,7 +668,7 @@ func (r *Receiver) base() uint64 {
 //
 //lint:hot
 func (r *Receiver) trim(old uint64) {
-	n := (r.base() - old) * uint64(r.size())
+	n := (r.base() - old) * uint64(r.elemSize)
 	if n >= uint64(len(r.buf)-r.head) {
 		r.buf, r.head = r.buf[:0], 0
 		return
@@ -673,14 +680,6 @@ func (r *Receiver) trim(old uint64) {
 // through OnFrame, so that trimming waits for frame delivery.
 func (r *Receiver) consumes() bool {
 	return r.cfg.OnFrame != nil && r.cfg.RetireVerified > 0
-}
-
-// size returns the connection element size (signaled, defaulting to 4).
-func (r *Receiver) size() uint16 {
-	if r.elemSize == 0 {
-		return 4
-	}
-	return r.elemSize
 }
 
 // deliverFrame fires OnFrame once external PDU x is complete. When the
@@ -702,7 +701,7 @@ func (r *Receiver) deliverFrame(x *xRec) {
 	}
 	if r.cfg.OnFrame != nil && !x.delivered {
 		x.delivered = true
-		es := uint64(r.size())
+		es := uint64(r.elemSize)
 		if base := r.base(); x.startElem >= base {
 			lo := (x.startElem - base) * es
 			hi := lo + x.endElems*es
@@ -849,8 +848,8 @@ func (r *Receiver) emit(chs []chunk.Chunk) {
 // nothing.
 //
 //lint:hot
-func (r *Receiver) emitAck(cid, tid uint32) {
-	ack := [1]chunk.Chunk{AckWith(cid, tid, r.ackBuf[:0])}
+func (r *Receiver) emitAck(tid uint32) {
+	ack := [1]chunk.Chunk{AckWith(r.cid, tid, r.ackBuf[:0])}
 	r.emit(ack[:])
 }
 
@@ -869,7 +868,7 @@ func (r *Receiver) Recycle(d []byte) { ctrlBuffers.Put(d) }
 func (r *Receiver) Stream() []byte {
 	held := r.buf[r.head:]
 	if r.consumes() {
-		return held[min((r.consumed-r.base())*uint64(r.size()), uint64(len(held))):]
+		return held[min((r.consumed-r.base())*uint64(r.elemSize), uint64(len(held))):]
 	}
 	return held
 }

@@ -3,7 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,7 +44,7 @@ type SenderConfig struct {
 	MinRTO time.Duration
 	MaxRTO time.Duration
 	// MaxRetries bounds successive timer-driven retransmissions of a
-	// single TPDU (and of the close signal). When a TPDU is about to
+	// single TPDU or of the close signal. When either is about to
 	// be retransmitted for the (MaxRetries+1)-th time the sender
 	// declares the peer dead: PollAt returns ErrPeerDead and Write
 	// refuses further data. 0 means unlimited (retry forever).
@@ -95,16 +95,17 @@ var (
 	ErrPeerDead = errors.New("transport: peer dead (max retries exceeded)")
 )
 
-// tpduRec is the sender-side state of one in-flight TPDU. Records are
-// recycled through recPool once acknowledged: the chunks slice, the
-// payload copy they alias and the ED scratch buffer all keep their
-// capacity across TPDUs, so the steady-state send path allocates
-// nothing per TPDU.
+// tpduRec is the sender-side state of one in-flight TPDU, or of the
+// close signal under CloseAckTID: a record with no ED chunk whose one
+// chunk is the signal. Records are recycled through recPool once
+// acknowledged: the chunks slice, the payload copy they alias and the
+// ED scratch buffer all keep their capacity across TPDUs, so the
+// steady-state send path allocates nothing per TPDU.
 type tpduRec struct {
 	chunks        []chunk.Chunk // pre-fragmentation chunks (identifiers reused verbatim on retransmission)
 	payload       []byte        // backing store the chunk payloads alias
 	edbuf         []byte        // backing store of ed.Payload
-	ed            chunk.Chunk
+	ed            chunk.Chunk   // zero in the close signal's record
 	sentAt        time.Duration // timeline position of last (re)transmission
 	rto           time.Duration // current per-TPDU timeout (doubles on backoff)
 	retries       int           // timer-driven retransmissions so far
@@ -124,7 +125,7 @@ func getRec() *tpduRec {
 // A RetransmitEvent records one timer-driven retransmission, for
 // backoff assertions and diagnostics.
 type RetransmitEvent struct {
-	TID uint32        // retransmitted TPDU (CloseAckTID for the close signal)
+	TID uint32        // retransmitted record: a TPDU's T.ID, or CloseAckTID for the close signal
 	At  time.Duration // timeline position of the retransmission
 	RTO time.Duration // the timeout interval that expired
 }
@@ -143,12 +144,15 @@ type Sender struct {
 	curXID     uint32
 	frameStart uint64 // element SN where the current frame began
 
-	csn        uint64 // next element SN to assign
-	opened     bool
-	closed     bool
-	closeAcked bool
+	csn    uint64 // next element SN to assign
+	opened bool
+	closed bool
 
+	// unacked holds every record awaiting acknowledgment, by T.ID: the
+	// in-flight TPDUs and, once Close ran, the close signal.
 	unacked map[uint32]*tpduRec
+	// tids is PollAt's sorted-scan scratch (unackedTIDs).
+	tids []uint32
 
 	// sendScratch is the reusable chunk slice handed to emit; it is
 	// only alive during one emit call (pack.Encode copies the chunk
@@ -162,14 +166,11 @@ type Sender struct {
 	// monotonic offset (time.Since of a connection epoch for real
 	// sockets, Poll's rounds or a synthetic clock in simulations) so
 	// that no wall-clock reads happen inside protocol logic.
-	now          time.Duration // latest observed timeline position
-	srtt         time.Duration // smoothed RTT
-	rttvar       time.Duration // RTT mean deviation
-	haveRTT      bool
-	dead         bool
-	closeSentAt  time.Duration
-	closeRTO     time.Duration
-	closeRetries int
+	now     time.Duration // latest observed timeline position
+	srtt    time.Duration // smoothed RTT
+	rttvar  time.Duration // RTT mean deviation
+	haveRTT bool
+	dead    bool
 
 	// RetransmitLog records every timer-driven retransmission, in
 	// order.
@@ -305,7 +306,8 @@ func (s *Sender) Flush() error {
 }
 
 // Close flushes and emits the connection-close signal (the C.ST
-// position travels by signaling, Appendix A).
+// position travels by signaling, Appendix A). The signal is recorded
+// under CloseAckTID and retransmitted like a TPDU until acknowledged.
 func (s *Sender) Close() error {
 	if s.closed {
 		return nil
@@ -314,9 +316,12 @@ func (s *Sender) Close() error {
 		return err
 	}
 	s.closed = true
-	s.closeSentAt = s.now
-	s.closeRTO = s.currentRTO()
-	return s.emit([]chunk.Chunk{SignalClose(s.cfg.CID, s.csn)})
+	rec := getRec()
+	rec.chunks = append(rec.chunks, SignalClose(s.cfg.CID, s.csn))
+	rec.sentAt = s.now
+	rec.rto = s.currentRTO()
+	s.unacked[CloseAckTID] = rec
+	return s.emit(rec.chunks)
 }
 
 func (s *Sender) bufElems() int { return len(s.buf) / int(s.cfg.ElemSize) }
@@ -397,11 +402,15 @@ func (s *Sender) cutTPDU(n int) error {
 	return s.emit(s.withED(rec.chunks, rec.ed))
 }
 
-// withED assembles chunks + the ED chunk in the reusable send scratch.
-// The slice is valid until the next withED or retransmit call; emit
-// consumes it before returning.
+// withED assembles chunks + the ED chunk in the reusable send scratch;
+// a record with no ED chunk (the close signal's) sends its chunks
+// alone. The slice is valid until the next withED or retransmit call;
+// emit consumes it before returning.
 func (s *Sender) withED(chs []chunk.Chunk, ed chunk.Chunk) []chunk.Chunk {
-	s.sendScratch = append(append(s.sendScratch[:0], chs...), ed)
+	s.sendScratch = append(s.sendScratch[:0], chs...)
+	if ed.Type == chunk.TypeED {
+		s.sendScratch = append(s.sendScratch, ed)
+	}
 	return s.sendScratch
 }
 
@@ -430,48 +439,42 @@ func (s *Sender) HandleControl(c *chunk.Chunk) error {
 // from which RTT samples are derived.
 func (s *Sender) HandleControlAt(c *chunk.Chunk, now time.Duration) error {
 	s.observe(now)
-	switch c.Type {
-	case chunk.TypeAck:
-		tid, err := ParseAck(c)
-		if err != nil {
-			s.tel.ctlBad.Inc()
-			return err
-		}
-		if tid == CloseAckTID {
-			// A close ACK names the C.ID its close carried. One naming
-			// another connection answers a close whose C.ID was
-			// corrupted on the way; the peer has not seen this close.
-			if c.C.ID != s.cfg.CID {
-				s.tel.ctlBad.Inc()
-				return ErrBadControl
-			}
-			s.closeAcked = true
-			s.AcksSeen++
-			s.tel.acks.Inc()
-			return nil
-		}
-		if rec, ok := s.unacked[tid]; ok {
-			if !rec.retransmitted {
-				s.sample(s.now - rec.sentAt)
-			}
-			s.tel.retries.Observe(int64(rec.retries))
-			delete(s.unacked, tid)
-			recPool.Put(rec)
-			s.AcksSeen++
-			s.tel.acks.Inc()
-			s.grow()
-		}
-		return nil
-	case chunk.TypeNack:
+	if c.Type != chunk.TypeAck && c.Type != chunk.TypeNack {
+		return nil // data/signal chunks are not sender business
+	}
+	// A receiver sends all its control under the C.ID of the first
+	// chunk it saw. An ACK or NACK naming another C.ID answers a chunk
+	// whose C.ID was corrupted on the way: the peer that sent it holds
+	// none of this connection's state.
+	if c.C.ID != s.cfg.CID {
+		s.tel.ctlBad.Inc()
+		return ErrBadControl
+	}
+	if c.Type == chunk.TypeNack {
 		tid, missing, err := ParseNack(c)
 		if err != nil {
 			s.tel.ctlBad.Inc()
 			return err
 		}
 		return s.retransmit(tid, missing)
-	default:
-		return nil // data/signal chunks are not sender business
 	}
+	tid, err := ParseAck(c)
+	if err != nil {
+		s.tel.ctlBad.Inc()
+		return err
+	}
+	if rec, ok := s.unacked[tid]; ok {
+		if !rec.retransmitted {
+			s.sample(s.now - rec.sentAt)
+		}
+		s.tel.retries.Observe(int64(rec.retries))
+		delete(s.unacked, tid)
+		recPool.Put(rec)
+		s.AcksSeen++
+		s.tel.acks.Inc()
+		s.grow()
+	}
+	return nil
 }
 
 // retransmit re-sends the requested element intervals of a TPDU using
@@ -480,8 +483,8 @@ func (s *Sender) HandleControlAt(c *chunk.Chunk, now time.Duration) error {
 // the ED chunk. An empty interval list re-sends only the ED chunk.
 func (s *Sender) retransmit(tid uint32, missing []vr.Interval) error {
 	rec, ok := s.unacked[tid]
-	if !ok {
-		return nil // already acked; stale NACK
+	if !ok || tid == CloseAckTID {
+		return nil // already acked (stale NACK), or the close: no receiver NACKs it
 	}
 	s.Retransmits++
 	s.tel.retransmit.Inc()
@@ -570,17 +573,19 @@ const pollStep = time.Millisecond
 // TPDU is re-sent every third round.
 func (s *Sender) Poll() error { return s.PollAt(s.now + pollStep) }
 
-// unackedTIDs returns the in-flight TPDU IDs in ascending order.
-// Retransmission scans must not follow Go's randomized map iteration
-// order: the emit order decides which datagrams a seeded lossy pipe
-// drops, so map order would make seeded runs diverge run-to-run
-// (determinism is a repo-wide test invariant).
+// unackedTIDs returns the unacknowledged records' T.IDs in ascending
+// order, CloseAckTID last. Retransmission scans must not follow Go's
+// randomized map iteration order: the emit order decides which
+// datagrams a seeded lossy pipe drops, so map order would make seeded
+// runs diverge run-to-run (determinism is a repo-wide test invariant).
+// The slice is sender-owned scratch, so a quiet poll allocates nothing.
 func (s *Sender) unackedTIDs() []uint32 {
-	tids := make([]uint32, 0, len(s.unacked))
+	tids := s.tids[:0]
 	for tid := range s.unacked {
 		tids = append(tids, tid)
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	slices.Sort(tids)
+	s.tids = tids
 	return tids
 }
 
@@ -636,9 +641,9 @@ func (s *Sender) clampRTO(d time.Duration) time.Duration {
 func (s *Sender) SRTT() time.Duration { return s.srtt }
 
 // PollAt runs the retransmission pass at timeline position now: every
-// unacked TPDU whose timeout expired is retransmitted whole
-// (identifiers unchanged), its timeout doubled (clamped to MaxRTO) and
-// its retry counted; a TPDU — or the close signal — about to exceed
+// unacked record — a TPDU or the close signal — whose timeout expired
+// is retransmitted whole (identifiers unchanged), its timeout doubled
+// (clamped to MaxRTO) and its retry counted; a record about to exceed
 // MaxRetries kills the connection instead and PollAt returns
 // ErrPeerDead (and keeps returning it).
 func (s *Sender) PollAt(now time.Duration) error {
@@ -646,25 +651,10 @@ func (s *Sender) PollAt(now time.Duration) error {
 		return ErrPeerDead
 	}
 	s.observe(now)
-	// Signaling chunks are not covered by ACKs: repeat the open signal
-	// until the first ACK proves the peer hears us, and the close
-	// signal on its own backoff schedule until acknowledged.
+	// The open signal has no record (no ACK names it): repeat it until
+	// the first ACK proves the peer hears us.
 	if s.opened && s.AcksSeen == 0 && len(s.unacked) > 0 {
 		if err := s.emit([]chunk.Chunk{SignalOpen(s.cfg.CID, s.cfg.ElemSize, 0)}); err != nil {
-			return err
-		}
-	}
-	if s.closed && !s.closeAcked && s.now >= s.closeSentAt+s.closeRTO {
-		if s.cfg.MaxRetries > 0 && s.closeRetries >= s.cfg.MaxRetries {
-			s.dead = true
-			s.tel.ring.Record(telemetry.EvPeerDead, s.cfg.CID, CloseAckTID, s.csn, int64(s.closeRetries))
-			return ErrPeerDead
-		}
-		s.closeRetries++
-		s.RetransmitLog = append(s.RetransmitLog, RetransmitEvent{TID: CloseAckTID, At: s.now, RTO: s.closeRTO})
-		s.closeSentAt = s.now
-		s.closeRTO = s.clampRTO(2 * s.closeRTO)
-		if err := s.emit([]chunk.Chunk{SignalClose(s.cfg.CID, s.csn)}); err != nil {
 			return err
 		}
 	}
@@ -703,11 +693,11 @@ func (s *Sender) PollAt(now time.Duration) error {
 //lint:hot
 func (s *Sender) Recycle(d []byte) { s.pack.Buffers.Put(d) }
 
-// Unacked returns the number of TPDUs awaiting acknowledgment.
+// Unacked returns the number of records awaiting acknowledgment: the
+// TPDUs in flight, plus one for the close signal once Close ran until
+// it is acknowledged.
 func (s *Sender) Unacked() int { return len(s.unacked) }
 
 // Drained reports full quiescence: every TPDU acknowledged and, if the
 // connection was closed, the close signal acknowledged too.
-func (s *Sender) Drained() bool {
-	return len(s.unacked) == 0 && (!s.closed || s.closeAcked)
-}
+func (s *Sender) Drained() bool { return len(s.unacked) == 0 }

@@ -133,6 +133,86 @@ func TestFrameDelivery(t *testing.T) {
 	}
 }
 
+// TestLostOpenNamesConnection: every chunk carries its C.ID and SIZE
+// (§2), so a receiver that never hears the open signal still answers
+// under the sender's C.ID and cuts frames at the data's element size.
+// Every open is dropped, and so is the first data datagram, to draw a
+// NACK.
+func TestLostOpenNamesConnection(t *testing.T) {
+	const cid = 0x5EED
+	var toRecv, toSend [][]byte
+	s := NewSender(SenderConfig{CID: cid, MTU: 128, ElemSize: 8, TPDUElems: 16}, func(d []byte) { toRecv = append(toRecv, d) })
+	var got [][]byte
+	r, err := NewReceiver(ReceiverConfig{OnFrame: func(_ uint32, data []byte) {
+		got = append(got, bytes.Clone(data))
+	}}, func(d []byte) { toSend = append(toSend, d) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := appData(320, 41)
+	if err := s.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.EndFrame(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[chunk.Type]int{}
+	for round := 0; round < 50 && !s.Drained(); round++ {
+		in := toRecv
+		toRecv = nil
+		for i, d := range in {
+			pk, err := packet.Decode(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sig, err := ParseSignal(&pk.Chunks[0]); (err == nil && sig.Open) || (round == 0 && i == 1) {
+				continue
+			}
+			if err := r.HandlePacket(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Poll()
+		back := toSend
+		toSend = nil
+		for _, d := range back {
+			pk, err := packet.Decode(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range pk.Chunks {
+				c := &pk.Chunks[i]
+				kinds[c.Type]++
+				if c.C.ID != cid {
+					t.Errorf("%v for T.ID %d names C.ID %#x, want %#x", c.Type, c.T.ID, c.C.ID, cid)
+				}
+				if err := s.HandleControl(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := s.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Opened() || !s.Drained() {
+		t.Fatalf("opened %v, drained %v: want the open lost and the transfer drained", r.Opened(), s.Drained())
+	}
+	if kinds[chunk.TypeAck] == 0 || kinds[chunk.TypeNack] == 0 {
+		t.Fatalf("control seen %v, want both ACKs and NACKs", kinds)
+	}
+	if len(got) != 1 || !bytes.Equal(got[0], frame) {
+		sizes := make([]int, len(got))
+		for i, f := range got {
+			sizes[i] = len(f)
+		}
+		t.Fatalf("OnFrame delivered frames of %v bytes, want the one %d-byte frame", sizes, len(frame))
+	}
+}
+
 func TestLossRecovery(t *testing.T) {
 	data := appData(16384, 6)
 	p := mustPump(t,

@@ -117,6 +117,39 @@ func TestSteadyStateFramedSendZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestQuietPollAtZeroAlloc: once the peer has ACKed, so the open no
+// longer repeats, a PollAt whose timeouts have not expired allocates
+// nothing however many records are in flight: its sorted scan reuses
+// sender-owned scratch.
+func TestQuietPollAtZeroAlloc(t *testing.T) {
+	s, step := newSteadySender(t, 1400, 256)
+	step()
+	step() // cuts and acknowledges the first TPDU
+	for i := 0; i < 4; i++ {
+		if err := s.Write(make([]byte, 256*4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.AcksSeen != 1 || s.Unacked() != 4 {
+		t.Fatalf("%d ACKs, %d unacked, want 1 and 4", s.AcksSeen, s.Unacked())
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the alloc count is pinned in the uninstrumented build")
+	}
+	now := s.now
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.PollAt(now); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("quiet PollAt allocates %.1f objects, want 0", allocs)
+	}
+	if s.Retransmits != 0 {
+		t.Fatalf("%d retransmissions: the polls were not quiet", s.Retransmits)
+	}
+}
+
 // BenchmarkSteadyStateSend reports the allocation profile and cost of
 // one full TPDU round trip through the send path.
 func BenchmarkSteadyStateSend(b *testing.B) {
