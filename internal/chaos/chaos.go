@@ -66,6 +66,11 @@ type Schedule struct {
 	// injected as an extra datagram ahead of the original — the
 	// overlap-smuggling attack the receiver's overlap policy resolves.
 	ForgeOverlapProb float64
+	// CID, when nonzero, confines the schedule to datagrams whose first
+	// chunk carries this C.ID: every other datagram is forwarded
+	// untouched, draws nothing from the seeded RNG and counts only as
+	// forwarded.
+	CID uint32
 }
 
 // Counters records the faults one direction actually inflicted.
@@ -224,6 +229,12 @@ func (p *pipe) offer(data []byte, send, spoofSend func([]byte)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
+	if p.sched.CID != 0 && !carriesCID(data, p.sched.CID) {
+		p.counters.Forwarded++
+		p.tel.forwarded.Inc()
+		send(data)
+		return
+	}
 	if p.sched.BlackholeFor > 0 {
 		elapsed := p.now()
 		if elapsed >= p.sched.BlackholeAfter && elapsed < p.sched.BlackholeAfter+p.sched.BlackholeFor {
@@ -289,6 +300,13 @@ func (p *pipe) offer(data []byte, send, spoofSend func([]byte)) {
 			send(d)
 		}
 	}
+}
+
+// carriesCID reports whether datagram d decodes and its first chunk
+// names connection cid.
+func carriesCID(d []byte, cid uint32) bool {
+	p, err := packet.Decode(d)
+	return err == nil && len(p.Chunks) > 0 && p.Chunks[0].C.ID == cid
 }
 
 // flushLocked releases the reorder window in seeded shuffled order. A

@@ -43,6 +43,9 @@ func acceptFrom(t *testing.T, srv *core.Server, cid uint32, froms []net.Addr) *c
 	}
 }
 
+// soakCID is the C.ID of every soak transfer.
+const soakCID = 77
+
 // soakCase is one scripted fault schedule of the chaos soak.
 type soakCase struct {
 	name string
@@ -94,10 +97,16 @@ func TestChaosSoak(t *testing.T) {
 			inflicted:  func(up, _ chaos.Counters) bool { return up.Duplicated > 0 },
 		},
 		{
+			// Downlink corruption hits only the connection's own
+			// control: a stray connection that a corrupted uplink C.ID
+			// opened NACKs a few times, and its control passes
+			// untouched, so down.Corrupted counts faults on the real
+			// connection. Seed 105 corrupts the first of its downlink
+			// datagrams, and it gets more than ten.
 			name: "corrupt",
 			cfg: chaos.Config{Seed: 105,
 				Up:   chaos.Schedule{CorruptProb: 0.10},
-				Down: chaos.Schedule{CorruptProb: 0.05}},
+				Down: chaos.Schedule{CorruptProb: 0.20, CID: soakCID}},
 			maxRetries: 64,
 			inflicted:  func(up, down chaos.Counters) bool { return up.Corrupted > 0 && down.Corrupted > 0 },
 		},
@@ -209,9 +218,8 @@ func runSoak(t *testing.T, tc soakCase) {
 	}
 	defer relay.Close()
 
-	const cid = 77
 	conn, err := core.Dial(relay.Addr().String(), core.Config{
-		CID: cid, TPDUElems: 128, Window: 16,
+		CID: soakCID, TPDUElems: 128, Window: 16,
 		PollEvery:  3 * time.Millisecond,
 		InitialRTO: 15 * time.Millisecond,
 		MinRTO:     8 * time.Millisecond,
@@ -268,7 +276,7 @@ func runSoak(t *testing.T, tc soakCase) {
 		}
 		// Byte-exact delivery on the relayed connection (established
 		// from the relay's server-facing source address).
-		sc := acceptFrom(t, srv, cid, relay.BackAddrs())
+		sc := acceptFrom(t, srv, soakCID, relay.BackAddrs())
 		select {
 		case <-sc.Done():
 		case <-time.After(5 * time.Second):

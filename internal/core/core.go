@@ -84,7 +84,10 @@ type Config struct {
 	IdleTimeout time.Duration
 	// ReapAfter drops receiver-side state of an incomplete TPDU that
 	// makes no progress for ReapAfter poll rounds, bounding the memory
-	// a lossy or dead peer can pin; 0 means 250 rounds.
+	// a lossy or dead peer can pin; 0 means 250 rounds. The receiver
+	// NACKs such a TPDU at doubling intervals and a last time the round
+	// before the reap. A negative value turns reaping off: the NACK
+	// interval keeps doubling while the sender's RTO still resends.
 	ReapAfter int
 	// OverlapPolicy selects the receive-side conflicting-overlap
 	// policy (see transport.ReceiverConfig.OverlapPolicy). Under

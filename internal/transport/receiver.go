@@ -49,9 +49,10 @@ type ReceiverConfig struct {
 	// pin in this receiver: an incomplete TPDU that makes no
 	// reassembly progress for ReapAfter consecutive Poll rounds has
 	// its verification state dropped entirely (the §3.3 buffer-lock-up
-	// discussion applied to our own receiver). Data arriving later
-	// rebuilds the TPDU from scratch via normal retransmission. 0
-	// disables reaping.
+	// discussion applied to our own receiver); its last NACK goes out
+	// the poll before. Data arriving later rebuilds the TPDU from
+	// scratch via normal retransmission. 0 disables reaping: the NACK
+	// interval keeps doubling, and the sender's RTO keeps resending.
 	ReapAfter int
 	// RetireVerified, when > 0, bounds the state of VERIFIED TPDUs the
 	// way ReapAfter bounds incomplete ones. Acknowledged TPDUs queue in
@@ -157,6 +158,11 @@ type tRec struct {
 	// either state. notified: OnTPDU fired. acked: verified and
 	// acknowledged.
 	pending, verdicted, notified, acked, hasProgress bool
+}
+
+// awaitsVerdict reports whether Poll tracks t: no final verdict yet.
+func (t *tRec) awaitsVerdict() bool {
+	return (t.pending || t.verdicted) && !t.acked && t.ed.Verdict() == errdet.VerdictPending
 }
 
 // xRec is the receiver's record of one external PDU (ALF frame): its
@@ -747,7 +753,10 @@ func (r *Receiver) freeX(x *xRec) {
 // Poll emits NACKs for every known-but-incomplete TPDU: missing data
 // intervals (plus an open-ended tail request while the TPDU's end is
 // unknown), or an empty interval list when only the ED chunk is
-// outstanding. Call once per pump round.
+// outstanding. It NACKs a TPDU 2, 4, 8, … polls after its last
+// arrival, the poll before ReapAfter reaps it, and on the first poll
+// once its T.ST chunk is in with holes below it: chunks describe
+// themselves, so the loss is evident. Call once per pump round.
 func (r *Receiver) Poll() {
 	r.round++
 	var ctrl []chunk.Chunk
@@ -763,38 +772,39 @@ func (r *Receiver) Poll() {
 	slices.SortFunc(recs, func(a, b *tRec) int { return cmp.Compare(a.tid, b.tid) })
 	r.pollRecs = recs
 	for _, t := range recs {
-		if !(t.pending || t.verdicted) || t.acked || t.ed.Verdict() != errdet.VerdictPending {
+		if !t.awaitsVerdict() {
 			continue
 		}
 		miss, haveEnd, high := t.ed.Status()
-		// Progress suppression: while data for this TPDU is still
-		// flowing in, hold the NACK — request retransmission only
-		// when a poll interval passes with no change.
-		fp := high<<16 ^ uint64(len(miss))<<1
-		if haveEnd {
-			fp |= 1
-		}
-		// Reaping: an incomplete TPDU with no chunk arrivals for
-		// ReapAfter polls (stale is zeroed on every arrival) is given
-		// up on entirely — its verification state is dropped so a
-		// lossy or dead peer cannot pin receiver memory without bound.
-		// A retransmission arriving later rebuilds it from scratch.
+		// Reaping: a TPDU with no arrivals for ReapAfter polls (seen
+		// zeroes stale) is dropped, so a lossy or dead peer cannot pin
+		// receiver memory; a later retransmission rebuilds it.
 		t.stale++
 		if r.cfg.ReapAfter > 0 && int(t.stale) >= r.cfg.ReapAfter {
 			r.reap(t)
 			continue
 		}
+		// Progress fingerprint: polls that see it unchanged count
+		// towards stall escalation.
+		fp := high<<16 ^ uint64(len(miss))<<1
+		if haveEnd {
+			fp |= 1
+		}
+		t.stalled++
 		if !t.hasProgress || t.progress != fp {
 			t.progress, t.hasProgress, t.stalled = fp, true, 0
+		}
+		n := t.stale
+		due := n&(n-1) == 0 && (n > 1 || haveEnd && len(miss) > 0 || t.stalled >= 4)
+		if !due && int(n) != r.cfg.ReapAfter-1 {
 			continue
 		}
-		// Stall escalation: a TPDU that keeps receiving
-		// retransmissions without converging had its verification
-		// state poisoned (e.g. a corrupted first chunk seeded wrong
-		// consistency baselines). Reset it and rebuild from the next
-		// retransmission.
-		t.stalled++
-		if t.stalled >= 4 {
+		// Stall escalation: a TPDU that keeps receiving chunks without
+		// converging (due at once) had its verification state poisoned,
+		// e.g. a corrupted first chunk seeded wrong consistency
+		// baselines. Reset it and rebuild from the next retransmission.
+		// A TPDU that receives nothing keeps what it holds.
+		if t.stalled >= 4 && n == 1 {
 			t.stalled, t.hasProgress = 0, false
 			t.ed.Reset()
 			ctrl = append(ctrl, Nack(r.cid, t.tid, []vr.Interval{{Lo: 0, Hi: ^uint64(0)}}))
@@ -934,7 +944,7 @@ func (r *Receiver) NeedsPoll() bool { return r.pending > 0 }
 func (r *Receiver) PendingTPDUs() int {
 	n := 0
 	for _, t := range r.tids {
-		if (t.pending || t.verdicted) && !t.acked && t.ed.Verdict() == errdet.VerdictPending {
+		if t.awaitsVerdict() {
 			n++
 		}
 	}
